@@ -103,11 +103,6 @@ def derived_bracket(generator: Poly, args) -> Poly:
     return -r
 
 
-def self_bracket_components(q: Poly):
-    """{q, q} split into its triple-grading components (sorted dict)."""
-    return poisson_bracket(q, q).tridegree_components()
-
-
 def nilpotency_check(q: Poly):
     """Check {q, q} = 0 for a degree-4 function.
 

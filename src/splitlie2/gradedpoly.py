@@ -29,9 +29,6 @@ KIND_TRIDEG = ((0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1), (0, 0, 1),
 KIND_ODD = tuple(d % 2 == 1 for d in KIND_DEGREE)
 KIND_NAME = ("x", "xi", "th", "p", "xi_", "th_", "u")
 
-COORD_KINDS = (X, XI, TH)
-MOMENTUM_KINDS = (P, XID, THD)
-
 INHOMOGENEOUS = "inhomogeneous"
 
 # A monomial is a tuple of (kind, index, exponent) factors sorted by
@@ -215,11 +212,11 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "Poly"):
-        if self.chart != other.chart:
+        if self.chart is not other.chart and self.chart != other.chart:
             raise ChartMismatchError(f"chart mismatch: {self.chart} vs {other.chart}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             other = Poly.const(self.chart, other)
         self._check(other)
         terms = dict(self.terms)
@@ -242,7 +239,7 @@ class Poly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction)):
             other = Poly.const(self.chart, other)
         return self + (-other)
 
@@ -250,7 +247,7 @@ class Poly:
         return Poly.const(self.chart, other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, str)):
+        if type(other) is not Poly and isinstance(other, (int, Fraction, str)):
             c = _coerce_coeff(other)
             if c == 0:
                 return Poly(self.chart)
@@ -325,22 +322,13 @@ class Poly:
             comps.setdefault(mono_tridegree(m), {})[m] = c
         return {t: Poly(self.chart, d) for t, d in sorted(comps.items())}
 
-    def project_degree(self, d: int) -> "Poly":
-        return Poly(self.chart, {m: c for m, c in self.terms.items() if mono_degree(m) == d})
-
     # -- structure queries ---------------------------------------------------
 
     def kinds_used(self):
         return {k for m in self.terms for k, _, _ in m}
 
-    def momentum_weight(self, mono: Mono) -> int:
-        return sum(e for k, _, e in mono if k in MOMENTUM_KINDS)
-
     def coefficient(self, mono: Mono) -> Fraction:
         return self.terms.get(mono, Fraction(0))
-
-    def unknown_degree(self, mono: Mono) -> int:
-        return sum(e for k, _, e in mono if k == UNK)
 
     def lift(self, chart: Chart) -> "Poly":
         """Reinterpret on another chart; indices must stay in range."""

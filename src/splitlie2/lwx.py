@@ -39,6 +39,7 @@ from .structures import (
     check_leibniz2_axioms,
     check_lie2_axioms,
     check_morphism,
+    nonzero_coords,
     vec_add,
     vec_scale,
     vec_sub,
@@ -127,158 +128,74 @@ class LWXStructure:
         return True
 
 
-class LWXOps:
-    """Section calculus of a metric double (same protocol as Lie2Ops)."""
+class LWXOps(Lie2Ops):
+    """Section calculus of a metric double: the Lie2Ops brackets on its
+    tensors, plus the pairing, D and the pairing-dual D terms of the mixed
+    brackets."""
 
     def __init__(self, e: LWXStructure):
         self.e = e
-        self.chart = e.chart
-        self.r1 = e.d1
-        self.r2 = e.d2
-        self.n = e.chart.base_dim
-        self._sinv = invert(e.pairing)
-        if self._sinv is None:
+        sinv = invert(e.pairing)
+        if sinv is None:
             raise ValueError("pairing must be nondegenerate")
-
-    def anchor(self, uv, f: Poly) -> Poly:
-        from .structures import d_dx
-
-        out = Poly.zero(self.chart)
-        for a in range(self.r1):
-            if uv[a].is_zero:
-                continue
-            for i in range(self.n):
-                r = self.e.rho[a][i]
-                if not r.is_zero:
-                    out = out + uv[a] * r * d_dx(f, i + 1)
-        return out
+        # c21 is stored [m][a]; the tables take both mixed brackets x slot first
+        c21 = [[e.c21[m][a] for m in range(e.d2)] for a in range(e.d1)]
+        self._tables(e.chart, e.d1, e.d2, e.rho, e.partial, e.c11, e.c12, c21, e.omega)
+        self._pair_rows = [[(m, s) for m, s in enumerate(row) if s] for row in e.pairing]
+        self._pair_cols = [[(a, row[m]) for a, row in enumerate(e.pairing) if row[m]]
+                           for m in range(self.r2)]
+        self._sinv_rows = [[(a, c) for a, c in enumerate(row) if c] for row in sinv]
 
     def pair(self, uv, wv) -> Poly:
-        out = Poly.zero(self.chart)
-        for a in range(self.r1):
-            for m in range(self.r2):
-                s = self.e.pairing[a][m]
-                if s:
-                    out = out + uv[a] * wv[m] * s
+        out = self._zero
+        for a, u in nonzero_coords(uv):
+            for m, s in self._pair_rows[a]:
+                if wv[m].terms:
+                    out = out + u * wv[m] * s
         return out
 
     def dmap(self, f: Poly):
         """D f, the pairing-dual of the anchor derivative of f."""
-        from .structures import d_dx
-
-        rhs = []
-        for a in range(self.r1):
-            acc = Poly.zero(self.chart)
-            for i in range(self.n):
-                r = self.e.rho[a][i]
-                if not r.is_zero:
-                    acc = acc + r * d_dx(f, i + 1)
-            rhs.append(acc)
-        out = []
-        for m in range(self.r2):
-            acc = Poly.zero(self.chart)
-            for a in range(self.r1):
-                c = self._sinv[m][a]
-                if c:
-                    acc = acc + rhs[a] * c
-            out.append(acc)
+        rhs = {}
+        if f.terms and self._anchor_vars:
+            grad = self._gradient(f)
+            for a, row in enumerate(self._anchor):
+                acc = self._zero
+                for i, r in row:
+                    acc = acc + r * grad[i]
+                if acc.terms:
+                    rhs[a] = acc
+        out = [self._zero] * self.r2
+        if rhs:
+            for m, row in enumerate(self._sinv_rows):
+                for a, c in row:
+                    if a in rhs:
+                        out[m] = out[m] + rhs[a] * c
         return out
 
-    def l1(self, wv):
-        out = [Poly.zero(self.chart) for _ in range(self.r1)]
-        for m in range(self.r2):
-            if wv[m].is_zero:
-                continue
-            for a in range(self.r1):
-                p = self.e.partial[m][a]
-                if not p.is_zero:
-                    out[a] = out[a] + wv[m] * p
-        return out
-
-    def l2_11(self, uv, vv):
-        out = [Poly.zero(self.chart) for _ in range(self.r1)]
-        for a in range(self.r1):
-            for b in range(self.r1):
-                c = uv[a] * vv[b]
-                if c.is_zero:
-                    continue
-                for k in range(self.r1):
-                    t = self.e.c11[a][b][k]
-                    if not t.is_zero:
-                        out[k] = out[k] + c * t
-        for b in range(self.r1):
-            out[b] = out[b] + self.anchor(uv, vv[b]) - self.anchor(vv, uv[b])
+    def _pairing_dual_terms(self, out, sign, pairs, coords, other):
+        """Add sign * <e_a, other> D(coords_a) over the nonzero coords_a,
+        with the pairing read along `pairs` (rows or columns)."""
+        for a, u in nonzero_coords(coords):
+            weight = self._zero
+            for m, s in pairs[a]:
+                if other[m].terms:
+                    weight = weight + other[m] * s
+            if weight.terms:
+                if sign < 0:
+                    weight = -weight
+                for k, c in enumerate(self.dmap(u)):
+                    if c.terms:
+                        out[k] = out[k] + weight * c
         return out
 
     def l2_12(self, uv, wv):
-        out = [Poly.zero(self.chart) for _ in range(self.r2)]
-        for a in range(self.r1):
-            for m in range(self.r2):
-                c = uv[a] * wv[m]
-                if c.is_zero:
-                    continue
-                for k in range(self.r2):
-                    t = self.e.c12[a][m][k]
-                    if not t.is_zero:
-                        out[k] = out[k] + c * t
-        for m in range(self.r2):
-            out[m] = out[m] + self.anchor(uv, wv[m])
-        for a in range(self.r1):
-            if uv[a].is_zero:
-                continue
-            weight = Poly.zero(self.chart)
-            for m in range(self.r2):
-                s = self.e.pairing[a][m]
-                if s:
-                    weight = weight + wv[m] * s
-            if weight.is_zero:
-                continue
-            dv = self.dmap(uv[a])
-            for k in range(self.r2):
-                out[k] = out[k] + weight * dv[k]
-        return out
+        out = self._mixed(self._b12, uv, wv)
+        return self._pairing_dual_terms(out, 1, self._pair_rows, uv, wv)
 
     def l2_21(self, wv, uv):
-        out = [Poly.zero(self.chart) for _ in range(self.r2)]
-        for m in range(self.r2):
-            for a in range(self.r1):
-                c = wv[m] * uv[a]
-                if c.is_zero:
-                    continue
-                for k in range(self.r2):
-                    t = self.e.c21[m][a][k]
-                    if not t.is_zero:
-                        out[k] = out[k] + c * t
-        for m in range(self.r2):
-            out[m] = out[m] + self.anchor(uv, wv[m])
-        for m in range(self.r2):
-            if wv[m].is_zero:
-                continue
-            weight = Poly.zero(self.chart)
-            for a in range(self.r1):
-                s = self.e.pairing[a][m]
-                if s:
-                    weight = weight + uv[a] * s
-            if weight.is_zero:
-                continue
-            dv = self.dmap(wv[m])
-            for k in range(self.r2):
-                out[k] = out[k] - weight * dv[k]
-        return out
-
-    def l3(self, uv, vv, zv):
-        out = [Poly.zero(self.chart) for _ in range(self.r2)]
-        for a in range(self.r1):
-            for b in range(self.r1):
-                for c in range(self.r1):
-                    coeff = uv[a] * vv[b] * zv[c]
-                    if coeff.is_zero:
-                        continue
-                    for k in range(self.r2):
-                        t = self.e.omega[a][b][c][k]
-                        if not t.is_zero:
-                            out[k] = out[k] + coeff * t
-        return out
+        out = self._mixed(self._b21, uv, wv)
+        return self._pairing_dual_terms(out, -1, self._pair_cols, wv, uv)
 
 
 # -- embeddings for the derived-bracket route ------------------------------------

@@ -20,6 +20,11 @@ from .lwx import LWXStructure, Subbundle, hyperbolic_pairing
 
 FORMAT_VERSION = 1
 
+# Input limits, checked before any tensor is allocated or any power expanded.
+MAX_RANK = 8  # rank1, rank2 of every structure block
+MAX_BASE_DIM = 8
+MAX_EXPONENT = 32  # per base variable, in polynomial values
+
 
 class StructureFileError(ValueError):
     """Malformed input file; carries a location string."""
@@ -54,6 +59,10 @@ def _parse_value(chart: Chart, v, where: str, allow_unknown=False):
             if len(parts) != chart.base_dim or any(p < 0 for p in parts):
                 raise StructureFileError(
                     where, f"exponent vector {exps!r} does not fit base dimension"
+                )
+            if any(p > MAX_EXPONENT for p in parts):
+                raise StructureFileError(
+                    where, f"exponent vector {exps!r} exceeds the limit {MAX_EXPONENT}"
                 )
             mono = Poly.const(chart, Fraction(str(coeff)))
             for i, p in enumerate(parts):
@@ -188,6 +197,9 @@ def _structure_from_block(block, where: str, chart=None):
             raise StructureFileError(where, f"missing {field}")
         if not isinstance(block[field], int) or block[field] < 0:
             raise StructureFileError(where, f"{field} must be a non-negative integer")
+        limit = MAX_BASE_DIM if field == "base_dim" else MAX_RANK
+        if block[field] > limit:
+            raise StructureFileError(where, f"{field} {block[field]} exceeds the limit {limit}")
     ch = Chart(block["base_dim"], block["rank1"], block["rank2"])
     n, r1, r2 = ch.base_dim, ch.rank1, ch.rank2
     s = Lie2Structure(

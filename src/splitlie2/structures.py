@@ -178,23 +178,6 @@ class Lie2Structure:
         return True
 
 
-@dataclass
-class LeibnizData:
-    """Leibniz variant: no symmetry required, separate right mixed bracket."""
-
-    chart: Chart
-    mu1: list
-    mu2: list
-    mu3: list
-    mu4: list
-    mu4r: list
-    mu5: list
-
-    @staticmethod
-    def from_lie2(s: Lie2Structure) -> "LeibnizData":
-        return LeibnizData(s.chart, s.mu1, s.mu2, s.mu3, s.mu4, s.mu4, s.mu5)
-
-
 # -- section calculus --------------------------------------------------------
 
 
@@ -214,10 +197,6 @@ def vec_sub(u, v):
 
 def vec_scale(u, c):
     return [a * c for a in u]
-
-
-def vec_is_zero(u):
-    return all(a.is_zero for a in u)
 
 
 def d_dx(f: Poly, i: int) -> Poly:
@@ -241,94 +220,132 @@ def d_dx(f: Poly, i: int) -> Poly:
     return Poly(f.chart, out)
 
 
+def nonzero_coords(vec):
+    """(index, entry) pairs of the nonzero entries of a coefficient vector."""
+    return [(i, c) for i, c in enumerate(vec) if c.terms]
+
+
+def _sparse(t, depth):
+    """A tensor with each last-axis vector, `depth` levels down, replaced by
+    its nonzero (index, entry) pairs."""
+    if depth == 0:
+        return nonzero_coords(t)
+    return [_sparse(sub, depth - 1) for sub in t]
+
+
 class Lie2Ops:
-    """Evaluation of the brackets on coefficient-vector sections."""
+    """Evaluation of the brackets on coefficient-vector sections.
+
+    The structure tensors become sparse tables at construction: for each
+    leading index tuple, the (output index, nonzero entry) pairs of its last
+    axis.  A bracket loops only over the nonzero coordinates of its
+    arguments and the nonzero table entries.  Section coefficients are base
+    (even) polynomials, so products commute and the loop order cannot change
+    a result.
+    """
 
     def __init__(self, s):
         self.s = s
-        self.chart = s.chart
-        self.r1 = s.chart.rank1
-        self.r2 = s.chart.rank2
-        self.n = s.chart.base_dim
-        self._right = getattr(s, "mu4r", None) or s.mu4
+        ch = s.chart
+        # l2(m, x) = l2(x, m): both mixed brackets read mu4
+        self._tables(ch, ch.rank1, ch.rank2, s.mu1, s.mu2, s.mu3, s.mu4, s.mu4, s.mu5)
+
+    def _tables(self, chart, r1, r2, anchor, unary, b11, b12, b21, ternary):
+        """Sparse tables anchor[a], unary[m], b11[a][b], b12[a][m], b21[a][m]
+        and ternary[a][b][c], where a, b, c run over the degree -1 frame and
+        m over the degree -2 frame.  b12 gives l2(x, m) and b21 gives
+        l2(m, x), both indexed x slot first."""
+        self.chart, self.r1, self.r2, self.n = chart, r1, r2, chart.base_dim
+        self._zero = Poly.zero(chart)
+        self._anchor = _sparse(anchor, 1)
+        self._anchor_vars = sorted({i for row in self._anchor for i, _ in row})
+        self._unary = _sparse(unary, 1)
+        self._b11 = _sparse(b11, 2)
+        self._b12 = _sparse(b12, 2)
+        self._b21 = _sparse(b21, 2)
+        self._ternary = _sparse(ternary, 3)
+
+    def _gradient(self, f: Poly):
+        """x_i-derivatives of f for the coordinates some anchor row uses."""
+        return {i: d_dx(f, i + 1) for i in self._anchor_vars}
+
+    def _bilinear(self, table, u, v, size):
+        """sum of u_a v_b table[a][b] over the nonzero coordinates."""
+        out = [self._zero] * size
+        vs = nonzero_coords(v)
+        for a, ua in nonzero_coords(u):
+            row = table[a]
+            if not any(row):
+                continue
+            for b, vb in vs:
+                entries = row[b]
+                if entries:
+                    c = ua * vb
+                    if c.terms:
+                        for k, t in entries:
+                            out[k] = out[k] + c * t
+        return out
+
+    def _mixed(self, table, xv, mv):
+        """A mixed bracket: its table term plus the anchor term a(x) m_k."""
+        out = self._bilinear(table, xv, mv, self.r2)
+        if self._anchor_vars:
+            for k, c in nonzero_coords(mv):
+                out[k] = out[k] + self.anchor(xv, c)
+        return out
 
     def anchor(self, xv, f: Poly) -> Poly:
-        out = Poly.zero(self.chart)
-        for j in range(self.r1):
-            if xv[j].is_zero:
-                continue
-            for i in range(self.n):
-                mu = self.s.mu1[j][i]
-                if not mu.is_zero:
-                    out = out + xv[j] * mu * d_dx(f, i + 1)
+        out = self._zero
+        if not f.terms or not self._anchor_vars:
+            return out
+        grad = self._gradient(f)
+        for j, c in nonzero_coords(xv):
+            for i, mu in self._anchor[j]:
+                df = grad[i]
+                if df.terms:
+                    out = out + c * mu * df
         return out
 
     def l1(self, mv):
-        out = [Poly.zero(self.chart) for _ in range(self.r1)]
-        for j in range(self.r2):
-            if mv[j].is_zero:
-                continue
-            for i in range(self.r1):
-                out[i] = out[i] + mv[j] * self.s.mu2[j][i]
+        out = [self._zero] * self.r1
+        for j, c in nonzero_coords(mv):
+            for i, mu in self._unary[j]:
+                out[i] = out[i] + c * mu
         return out
 
     def l2_11(self, xv, yv):
-        out = [Poly.zero(self.chart) for _ in range(self.r1)]
-        for i in range(self.r1):
-            for j in range(self.r1):
-                c = xv[i] * yv[j]
-                if c.is_zero:
-                    continue
-                for k in range(self.r1):
-                    mu = self.s.mu3[i][j][k]
-                    if not mu.is_zero:
-                        out[k] = out[k] + c * mu
-        for k in range(self.r1):
-            out[k] = out[k] + self.anchor(xv, yv[k]) - self.anchor(yv, xv[k])
+        out = self._bilinear(self._b11, xv, yv, self.r1)
+        if self._anchor_vars:
+            for k, c in nonzero_coords(yv):
+                out[k] = out[k] + self.anchor(xv, c)
+            for k, c in nonzero_coords(xv):
+                out[k] = out[k] - self.anchor(yv, c)
         return out
 
     def l2_12(self, xv, mv):
-        out = [Poly.zero(self.chart) for _ in range(self.r2)]
-        for i in range(self.r1):
-            for j in range(self.r2):
-                c = xv[i] * mv[j]
-                if c.is_zero:
-                    continue
-                for k in range(self.r2):
-                    mu = self.s.mu4[i][j][k]
-                    if not mu.is_zero:
-                        out[k] = out[k] + c * mu
-        for k in range(self.r2):
-            out[k] = out[k] + self.anchor(xv, mv[k])
-        return out
+        return self._mixed(self._b12, xv, mv)
 
     def l2_21(self, mv, xv):
-        out = [Poly.zero(self.chart) for _ in range(self.r2)]
-        for i in range(self.r1):
-            for j in range(self.r2):
-                c = xv[i] * mv[j]
-                if c.is_zero:
-                    continue
-                for k in range(self.r2):
-                    mu = self._right[i][j][k]
-                    if not mu.is_zero:
-                        out[k] = out[k] + c * mu
-        for k in range(self.r2):
-            out[k] = out[k] + self.anchor(xv, mv[k])
-        return out
+        return self._mixed(self._b21, xv, mv)
 
     def l3(self, xv, yv, zv):
-        out = [Poly.zero(self.chart) for _ in range(self.r2)]
-        for i in range(self.r1):
-            for j in range(self.r1):
-                for k in range(self.r1):
-                    c = xv[i] * yv[j] * zv[k]
-                    if c.is_zero:
-                        continue
-                    for l in range(self.r2):
-                        mu = self.s.mu5[i][j][k][l]
-                        if not mu.is_zero:
-                            out[l] = out[l] + c * mu
+        out = [self._zero] * self.r2
+        ys, zs = nonzero_coords(yv), nonzero_coords(zv)
+        for i, a in nonzero_coords(xv):
+            plane = self._ternary[i]
+            for j, b in ys:
+                row = plane[j]
+                if not any(row):
+                    continue
+                ab = a * b
+                if not ab.terms:
+                    continue
+                for k, c in zs:
+                    entries = row[k]
+                    if entries:
+                        abc = ab * c
+                        for l, mu in entries:
+                            out[l] = out[l] + abc * mu
         return out
 
 

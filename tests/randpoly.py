@@ -1,4 +1,4 @@
-"""Shared random generators for the property-style tests."""
+"""Random homogeneous polynomials for the property-style tests."""
 
 from fractions import Fraction
 

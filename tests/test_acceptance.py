@@ -269,7 +269,7 @@ def test_criterion_09_twist_compatibility_and_combined_nilpotency():
 def test_criterion_10_engine_soundness_and_roundtrips():
     from splitlie2.bracket import poisson_bracket
     from splitlie2.gradedpoly import Chart, INHOMOGENEOUS
-    from tests_properties import random_homogeneous  # local helper below
+    from randpoly import random_homogeneous
 
     ok = True
     rng = random.Random(1)

@@ -1,23 +1,14 @@
 import random
-from fractions import Fraction
 
 import pytest
 
+from randpoly import random_homogeneous
 from splitlie2.bracket import DegreeError, derived_bracket, nilpotency_check, poisson_bracket
 from splitlie2.gradedpoly import (
     INHOMOGENEOUS,
-    KIND_DEGREE,
-    KIND_ODD,
-    P,
-    THD,
-    X,
-    XI,
-    XID,
-    TH,
     Chart,
     ChartMismatchError,
     Poly,
-    mono_from_sequence,
     p_,
     th_dn,
     th_up,
@@ -31,35 +22,6 @@ CH = Chart(2, 2, 2)
 
 def sgn(e):
     return -1 if e % 2 else 1
-
-
-def random_homogeneous(rng, chart, degree):
-    """Random homogeneous polynomial of the given total degree."""
-    acc = {}
-    for _ in range(60):
-        d, factors, tries = 0, [], 0
-        while d < degree and tries < 40:
-            tries += 1
-            k = rng.choice((X, XI, TH, P, XID, THD))
-            if chart.kind_rank(k) == 0:
-                continue
-            idx = rng.randint(1, chart.kind_rank(k))
-            if KIND_ODD[k] and (k, idx) in factors:
-                continue
-            if d + KIND_DEGREE[k] > degree:
-                continue
-            if KIND_DEGREE[k] == 0 and rng.random() < 0.7:
-                continue
-            factors.append((k, idx))
-            d += KIND_DEGREE[k]
-        if d == degree:
-            sign, mono = mono_from_sequence(factors)
-            if sign:
-                acc[mono] = acc.get(mono, 0) + sign * Fraction(rng.randint(-3, 3) or 1)
-        if len(acc) >= 2:
-            break
-    p = Poly(chart, acc)
-    return p if not p.is_zero else Poly.const(chart, 1) * (0 if degree else 1)
 
 
 def test_generator_bracket_table():

@@ -136,3 +136,33 @@ def test_check_filter(lsa3_file):
     doc = json.loads(r.stdout)
     ids = [c["id"] for rep in doc["reports"] for c in rep["checks"]]
     assert ids and all(i.startswith("nilpotency") for i in ids)
+
+
+@pytest.mark.parametrize("field,value", [("rank1", 1000000000), ("rank2", 9), ("base_dim", 99)])
+def test_oversized_chart_is_rejected_quickly(lsa3_file, tmp_path, field, value):
+    doc = json.loads(open(lsa3_file).read())
+    doc[field] = value
+    _assert_rejected_quickly(tmp_path, doc, field)
+
+
+def test_oversized_exponent_is_rejected_quickly(tmp_path):
+    r = run_cli("example", "show", "semidirect_poly")
+    doc = json.loads(r.stdout)
+    entry = next(e for e in doc["mu1"] if isinstance(e["val"], dict))
+    entry["val"] = {"99999999": "1"}
+    _assert_rejected_quickly(tmp_path, doc, "exceeds the limit")
+
+
+def _assert_rejected_quickly(tmp_path, doc, located):
+    import time
+
+    from splitlie2.cli import main
+
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("--file", str(path), "--quiet", "check-structure")
+    assert r.returncode == 2 and r.stderr == ""
+    assert located in json.loads(r.stdout)["error"]
+    t0 = time.perf_counter()
+    assert main(["--file", str(path), "--quiet", "check-structure"]) == 2
+    assert time.perf_counter() - t0 < 1.0

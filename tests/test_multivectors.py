@@ -141,3 +141,68 @@ def test_random_multivector_shapes():
         from splitlie2.multivectors import is_multivector
 
         assert is_multivector(p)
+
+
+# -- the ternary higher Jacobi identity (hp.jac3) -------------------------------
+
+# hp-verify seeds on which an earlier sign rule for hp.jac3 failed on the
+# valid string_sl2, each on a tuple of four even-degree multivectors
+JAC3_SEEDS = (148643, 643074, 504186, 426521, 608076, 677993, 116888, 368661, 412700,
+              874878)
+
+
+@pytest.mark.parametrize("seed", JAC3_SEEDS)
+def test_jac3_holds_on_string_seeds(seed):
+    rep = verify_hp_axioms(string_sl2()["structure"], count=100, seed=seed)
+    assert rep.passed, [r.check_id for r in rep.failures]
+
+
+_PERMS3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+           ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)]
+
+
+def _aff_plane(triple):
+    """aff(1) + R^2 in degree -1 ([E1, E2] = E2), a line in degree -2, and
+    the alternating l3 dual to `triple`.  The algebra is not unimodular, so
+    not every 3-form is a cocycle: E1^E3^E4 is one, E2^E3^E4 is not."""
+    ch = Chart(0, 4, 1)
+    mu3 = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    mu3[0][1][1], mu3[1][0][1] = 1, -1
+    mu5 = [[[[0] for _ in range(4)] for _ in range(4)] for _ in range(4)]
+    for perm, sign in _PERMS3:
+        i, j, k = (triple[q] for q in perm)
+        mu5[i][j][k][0] = sign
+    return Lie2Structure.build(ch, mu3=mu3, mu5=mu5)
+
+
+def test_jac3_on_frames_tracks_the_cocycle_condition():
+    from splitlie2.multivectors import ternary_jacobiator
+    from splitlie2.structures import check_lie2_axioms
+
+    for triple, valid in (((0, 2, 3), True), ((1, 2, 3), False)):
+        s = _aff_plane(triple)
+        assert check_lie2_axioms(s).passed is valid
+        frames = [xi_dn(s.chart, i + 1) for i in range(4)]
+        assert ternary_jacobiator(SAlgebra(s), *frames).is_zero is valid
+
+
+def test_hp_verify_fails_jac3_on_a_broken_ternary_bracket():
+    good = verify_hp_axioms(_aff_plane((0, 2, 3)), count=100, seed=5)
+    assert good.passed
+    bad = verify_hp_axioms(_aff_plane((1, 2, 3)), count=100, seed=5)
+    assert not bad.passed
+    assert {r.check_id.split("[")[0] for r in bad.failures} == {"hp.jac3"}
+
+
+def test_bumped_string_ternary_bracket_stays_valid():
+    # every alternating 3-form on the 3-dimensional sl2 is a cocycle, so
+    # bumping mu5 gives another valid structure: hp-verify and the direct
+    # axioms must both pass it
+    from splitlie2.structures import check_lie2_axioms
+
+    s = string_sl2()["structure"]
+    for perm, sign in _PERMS3:
+        i, j, k = perm
+        s.mu5[i][j][k][0] = s.mu5[i][j][k][0] + sign
+    assert check_lie2_axioms(s).passed
+    assert verify_hp_axioms(s, count=100, seed=JAC3_SEEDS[0]).passed

@@ -126,3 +126,22 @@ def test_example_names_and_parameterized_lookup():
     assert builtin_example("lsa3(7)")["k0"] == 7
     with pytest.raises(KeyError):
         builtin_example("nope")
+
+
+def test_limits_admit_every_builtin():
+    from splitlie2.sfile import MAX_BASE_DIM, MAX_RANK
+
+    for name in example_names():
+        ex = builtin_example(name)
+        ch = ex["structure"].chart
+        assert max(ch.rank1, ch.rank2) <= MAX_RANK and ch.base_dim <= MAX_BASE_DIM
+        extra = mc_blocks(ex["mc"]) if ex.get("mc") else None
+        sf = parse_structure_file(render_structure(ex["structure"], extra=extra))
+        assert sf.structure.equals(ex["structure"])
+
+
+def test_rejects_oversized_morphism_codomain():
+    doc = _base_doc()
+    doc["morphism"] = {"codomain": {"base_dim": 0, "rank1": 1000000000, "rank2": 1}}
+    with pytest.raises(StructureFileError, match="morphism.codomain: rank1 1000000000"):
+        parse_structure_file(json.dumps(doc))
