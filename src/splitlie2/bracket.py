@@ -20,27 +20,16 @@ and shifts degree by -3 and the triple grading by (-1,-1,-1).
 
 from __future__ import annotations
 
-from .gradedpoly import (
-    KIND_DEGREE,
-    P,
-    TH,
-    THD,
-    X,
-    XI,
-    XID,
-    Poly,
-    mono_degree,
-    mono_flat,
-    mono_from_sequence,
-)
+from .gradedpoly import KIND_ODD, P, TH, THD, X, XI, XID, ChartMismatchError, Poly, mono_mul
 
-_PAIR_SIGN = {
-    (P, X): -1,
-    (X, P): 1,
-    (XID, XI): -1,
-    (XI, XID): 1,
-    (THD, TH): 1,
-    (TH, THD): -1,
+# kind -> (conjugate kind, sign of {kind, conjugate}) for each kind that pairs
+_CONJ = {
+    P: (X, -1),
+    X: (P, 1),
+    XID: (XI, -1),
+    XI: (XID, 1),
+    THD: (TH, 1),
+    TH: (THD, -1),
 }
 
 
@@ -48,50 +37,82 @@ class DegreeError(ValueError):
     pass
 
 
-def _mono_bracket(m1, m2, acc, coeff):
-    """Accumulate the bracket of two monomials into the dict acc."""
-    f1 = mono_flat(m1)
-    f2 = mono_flat(m2)
-    if not f1 or not f2:
-        return
-    d2 = mono_degree(m2)
-    # degree of the suffix of f1 after position a
-    suf1 = [0] * (len(f1) + 1)
-    for a in range(len(f1) - 1, -1, -1):
-        suf1[a] = suf1[a + 1] + KIND_DEGREE[f1[a][0]]
-    pre2 = [0] * (len(f2) + 1)
-    for b in range(len(f2)):
-        pre2[b + 1] = pre2[b] + KIND_DEGREE[f2[b][0]]
-    for a, (k1, i1) in enumerate(f1):
-        for b, (k2, i2) in enumerate(f2):
-            if i1 != i2:
+def _without(m, pos):
+    """The monomial m with one copy of its factor at pos removed."""
+    k, i, e = m[pos]
+    if e == 1:
+        return m[:pos] + m[pos + 1 :]
+    return m[:pos] + ((k, i, e - 1),) + m[pos + 1 :]
+
+
+def _right_index(g: Poly):
+    """(kind, index) -> [(m without that factor, weight * coefficient)] over g.
+
+    An odd right factor is moved to the front of its monomial, at the sign
+    (-1)^(odd factors before it); an even one brings its exponent.
+    """
+    index = {}
+    for m, c in g.terms.items():
+        odd_before = 0
+        for pos, (k, i, e) in enumerate(m):
+            if k not in _CONJ:
                 continue
-            s0 = _PAIR_SIGN.get((k1, k2))
-            if s0 is None:
-                continue
-            e = suf1[a + 1] * (d2 + 1) + (KIND_DEGREE[k1] + 1) * pre2[b]
-            sgn = -s0 if e % 2 else s0
-            seq = f1[:a] + f2[:b] + f2[b + 1 :] + f1[a + 1 :]
-            s2, mono = mono_from_sequence(seq)
-            if s2 == 0:
-                continue
-            c = acc.get(mono, 0) + sgn * s2 * coeff
-            if c == 0:
-                acc.pop(mono, None)
+            if KIND_ODD[k]:
+                w = -c if odd_before else c
+                odd_before ^= 1
             else:
-                acc[mono] = c
+                w = e * c
+            hits = index.get((k, i))
+            if hits is None:
+                index[(k, i)] = [(_without(m, pos), w)]
+            else:
+                hits.append((_without(m, pos), w))
+    return index
 
 
 def poisson_bracket(f: Poly, g: Poly) -> Poly:
-    """Canonical graded Poisson bracket of two polynomials on one chart."""
-    if f.chart != g.chart:
-        from .gradedpoly import ChartMismatchError
+    """Canonical graded Poisson bracket of two polynomials on one chart.
 
+    Each conjugate factor pair (a in a term of f, b in a term of g)
+    contributes (pair sign) * (f-term without a) * (g-term without b).
+    Every conjugate pair has one odd and one even partner.  An odd left
+    factor is moved to the end of its monomial, at the sign (-1)^(odd
+    factors after it); an even one brings its exponent as multiplicity.
+    The right factors carry the mirror weights (see _right_index).
+    """
+    if f.chart is not g.chart and f.chart != g.chart:
         raise ChartMismatchError(f"chart mismatch: {f.chart} vs {g.chart}")
+    if not f.terms or not g.terms:
+        return Poly(f.chart)
+    right = _right_index(g)
     acc = {}
     for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            _mono_bracket(m1, m2, acc, c1 * c2)
+        odd_after = 0
+        for pos in range(len(m1) - 1, -1, -1):
+            k, i, e = m1[pos]
+            conj = _CONJ.get(k)
+            if conj is None:
+                continue
+            ck, s0 = conj
+            if KIND_ODD[k]:
+                w = -s0 if odd_after else s0
+                odd_after ^= 1
+            else:
+                w = s0 * e
+            hits = right.get((ck, i))
+            if hits is None:
+                continue
+            a = _without(m1, pos)
+            w = w * c1
+            for b, v in hits:
+                s, mono = mono_mul(a, b)
+                if s == 0:
+                    continue
+                c = acc.get(mono, 0) + (w * v if s > 0 else -(w * v))
+                if c == 0:
+                    acc.pop(mono, None)
+                else:
+                    acc[mono] = c
     return Poly(f.chart, acc)
 
 

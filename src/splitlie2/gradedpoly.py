@@ -13,8 +13,11 @@ Variables come in six kinds with fixed total degree and a fixed triple grading:
 plus an optional seventh kind of degree-0 central "unknowns" (u1, u2, ...)
 used by the linear solver.  Odd-degree variables anticommute and square to
 zero; even variables commute with everything.  Coefficients are exact
-rationals, and no zero coefficient is ever stored, so equality to zero is
-decidable by comparing against the empty polynomial.
+rationals: constructors store an integral value as a plain int and keep
+Fraction for the others.  Products and sums may leave an integral
+Fraction in place; it compares, hashes and renders like the int.  No zero
+coefficient is ever stored, so equality to zero is decidable by comparing
+against the empty polynomial.
 """
 
 from __future__ import annotations
@@ -89,35 +92,39 @@ def mono_mul(m1: Mono, m2: Mono):
     """Product of two canonical monomials.
 
     Returns (sign, mono); sign 0 means the product vanished (odd square).
-    The sign is the parity of the odd-odd transpositions needed to merge.
+    The sign is the parity of the odd-odd transpositions needed to merge:
+    each odd factor of m2 passes the odd factors of m1 not yet merged.
     """
-    n1, n2 = len(m1), len(m2)
-    if n1 == 0:
+    if not m1:
         return 1, m2
-    if n2 == 0:
+    if not m2:
         return 1, m1
-    odd_suffix = [0] * (n1 + 1)
-    for i in range(n1 - 1, -1, -1):
-        odd_suffix[i] = odd_suffix[i + 1] + (1 if KIND_ODD[m1[i][0]] else 0)
+    odd_left = 0
+    for f in m1:
+        if KIND_ODD[f[0]]:
+            odd_left += 1
     sign = 1
     out = []
     i = j = 0
+    n1, n2 = len(m1), len(m2)
     while i < n1 and j < n2:
         f1, f2 = m1[i], m2[j]
-        k1 = (f1[0], f1[1])
-        k2 = (f2[0], f2[1])
-        if k1 < k2:
+        k1, k2 = f1[0], f2[0]
+        d = f1[1] - f2[1] if k1 == k2 else k1 - k2
+        if d < 0:
             out.append(f1)
             i += 1
-        elif k1 > k2:
-            if KIND_ODD[f2[0]] and odd_suffix[i] % 2:
+            if KIND_ODD[k1]:
+                odd_left -= 1
+        elif d > 0:
+            if odd_left & 1 and KIND_ODD[k2]:
                 sign = -sign
             out.append(f2)
             j += 1
         else:
-            if KIND_ODD[f1[0]]:
+            if KIND_ODD[k1]:
                 return 0, ONE_MONO
-            out.append((f1[0], f1[1], f1[2] + f2[2]))
+            out.append((k1, f1[1], f1[2] + f2[2]))
             i += 1
             j += 1
     out.extend(m1[i:])
@@ -148,14 +155,6 @@ def mono_from_sequence(seq):
     return sign, mono
 
 
-def mono_flat(m: Mono):
-    """Expand a monomial into a list of single (kind, index) factors."""
-    out = []
-    for k, idx, e in m:
-        out.extend([(k, idx)] * e)
-    return out
-
-
 def mono_render(m: Mono) -> str:
     if not m:
         return "1"
@@ -166,13 +165,14 @@ def mono_render(m: Mono) -> str:
     return " ".join(parts)
 
 
-def _coerce_coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _coerce_coeff(c):
+    """An exact coefficient: int when integral, else Fraction."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     if isinstance(c, str):
-        return Fraction(c)
+        c = Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
@@ -186,7 +186,11 @@ class Poly:
         if terms is None:
             self.terms = {}
         else:
-            self.terms = {m: c for m, c in terms.items() if c != 0}
+            self.terms = {
+                m: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                for m, c in terms.items()
+                if c != 0
+            }
 
     # -- constructors ------------------------------------------------------
 
@@ -207,7 +211,7 @@ class Poly:
             raise ValueError(
                 f"index {index} out of range for kind {KIND_NAME[kind]!r} on {chart}"
             )
-        return Poly(chart, {((kind, index, 1),): Fraction(1)})
+        return Poly(chart, {((kind, index, 1),): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -327,8 +331,8 @@ class Poly:
     def kinds_used(self):
         return {k for m in self.terms for k, _, _ in m}
 
-    def coefficient(self, mono: Mono) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Mono):
+        return self.terms.get(mono, 0)
 
     def lift(self, chart: Chart) -> "Poly":
         """Reinterpret on another chart; indices must stay in range."""

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bracket import derived_bracket, poisson_bracket
+from .bracket import poisson_bracket
 from .gradedpoly import (
     TH,
     THD,
@@ -29,6 +29,7 @@ from .gradedpoly import (
     XID,
     Chart,
     Poly,
+    mono_from_sequence,
     th_dn,
     unknown,
     xi_dn,
@@ -115,7 +116,16 @@ def cochain_one_form_components(alpha: Poly, kind: int, rank: int):
 
 
 class SAlgebra:
-    """Cached bracket machinery of one structure."""
+    """Bracket machinery of one structure, with a memo of nested brackets.
+
+    b1, b2 and b3 are the derived brackets -{...{mu_k, a1}..., ak}; every
+    nested prefix {...{mu_k, a1}..., aj} is kept in a memo keyed by the
+    values of its arguments, so a bracket taken again, or one that shares
+    its first arguments with an earlier one, reuses that work.  Polys are
+    never changed in place, so a memoised result can be handed out as is.
+    The memo grows until clear_memo(); the long-running checks clear it
+    once per random trial.
+    """
 
     def __init__(self, s: Lie2Structure):
         self.s = s
@@ -124,21 +134,40 @@ class SAlgebra:
         self.mu211 = self.mu.project_tridegree((2, 1, 1))
         self.mu121 = self.mu.project_tridegree((1, 2, 1))
         self.mu031 = self.mu.project_tridegree((0, 3, 1))
+        self._memo = {}
+
+    def clear_memo(self):
+        self._memo.clear()
+
+    def _nested(self, gen: Poly, args) -> Poly:
+        """{...{gen, a1}..., am}, every prefix looked up in the memo first."""
+        memo = self._memo
+        r = gen
+        for a in args:
+            if not r.terms:
+                break  # {0, a} = 0
+            # r is a generator or a memo value, alive as long as its key
+            key = (id(r), a)
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = poisson_bracket(r, a)
+            r = hit
+        return r
 
     def b1(self, p: Poly) -> Poly:
-        return derived_bracket(self.mu211, [p])
+        return -self._nested(self.mu211, (p,))
 
     def b2(self, p: Poly, q: Poly) -> Poly:
-        return derived_bracket(self.mu121, [p, q])
+        return -self._nested(self.mu121, (p, q))
 
     def b3(self, p: Poly, q: Poly, r: Poly) -> Poly:
-        return derived_bracket(self.mu031, [p, q, r])
+        return -self._nested(self.mu031, (p, q, r))
 
     def delta(self, p: Poly) -> Poly:
-        return poisson_bracket(self.mu, p)
+        return self._nested(self.mu, (p,))
 
     def d_part(self, p: Poly) -> Poly:
-        return poisson_bracket(self.mu121, p)
+        return self._nested(self.mu121, (p,))
 
 
 # -- degree-3 elements ---------------------------------------------------------
@@ -261,45 +290,48 @@ def _sgn(e: int) -> int:
 def random_multivector(chart: Chart, rng: random.Random, max_shifted_degree=6,
                        max_base_degree=2, terms=2):
     """Random homogeneous multivector (never the zero degree marker)."""
-    deg = rng.randint(1, max_shifted_degree)
-    acc = {}
-    for _ in range(terms):
-        d = 0
-        factors = []
-        guard = 0
-        while d < deg and guard < 60:
-            guard += 1
-            k = rng.choice((XID, THD, THD))
-            idx = rng.randint(1, chart.kind_rank(k)) if chart.kind_rank(k) else None
-            if idx is None:
-                continue
-            kd = 2 if k == XID else 1
-            if d + kd > deg:
-                if deg - d == 1 and chart.kind_rank(THD):
-                    k, kd = THD, 1
-                    idx = rng.randint(1, chart.kind_rank(THD))
-                else:
+    rank = {XID: chart.kind_rank(XID), THD: chart.kind_rank(THD)}
+    if not (rank[XID] or rank[THD]):
+        raise ValueError(f"no multivector of positive degree on {chart}")
+    while True:
+        deg = rng.randint(1, max_shifted_degree)
+        acc = {}
+        for _ in range(terms):
+            d = 0
+            factors = []
+            used_thd = set()
+            guard = 0
+            while d < deg and guard < 60:
+                guard += 1
+                k = rng.choice((XID, THD, THD))
+                if not rank[k]:
                     continue
-            if k == THD and (THD, idx) in [(f[0], f[1]) for f in factors]:
+                idx = rng.randint(1, rank[k])
+                kd = 2 if k == XID else 1
+                if d + kd > deg:
+                    if deg - d == 1 and rank[THD]:
+                        k, kd = THD, 1
+                        idx = rng.randint(1, rank[THD])
+                    else:
+                        continue
+                if k == THD:
+                    if idx in used_thd:
+                        continue
+                    used_thd.add(idx)
+                factors.append((k, idx))
+                d += kd
+            if d != deg:
                 continue
-            factors.append((k, idx, 1))
-            d += kd
-        if d != deg:
-            continue
-        for _ in range(rng.randint(0, max_base_degree)):
-            if chart.base_dim:
-                factors.append((X, rng.randint(1, chart.base_dim), 1))
-        from .gradedpoly import mono_from_sequence
-
-        sign, mono = mono_from_sequence([(k, i) for k, i, _ in factors])
-        if sign == 0:
-            continue
-        c = acc.get(mono, 0) + sign * Fraction(rng.randint(-4, 4) or 1)
-        acc[mono] = c
-    p = Poly(chart, acc)
-    if p.is_zero or p.degree() != deg:
-        return random_multivector(chart, rng, max_shifted_degree, max_base_degree, terms)
-    return p
+            for _ in range(rng.randint(0, max_base_degree)):
+                if chart.base_dim:
+                    factors.append((X, rng.randint(1, chart.base_dim)))
+            sign, mono = mono_from_sequence(factors)
+            if sign == 0:
+                continue
+            acc[mono] = acc.get(mono, 0) + sign * (rng.randint(-4, 4) or 1)
+        p = Poly(chart, acc)
+        if not p.is_zero and p.degree() == deg:
+            return p
 
 
 def random_base_poly(chart: Chart, rng: random.Random, max_degree=2):
@@ -356,6 +388,7 @@ def verify_hp_axioms(s: Lie2Structure, count=100, seed=0, max_shifted_degree=6) 
         rep.add_flag("degenerate", "nothing to test on an empty chart", True)
         return rep
     for trial in range(count):
+        alg.clear_memo()
         P = random_multivector(ch, rng, max_shifted_degree)
         Q = random_multivector(ch, rng, max_shifted_degree)
         R = random_multivector(ch, rng, max_shifted_degree)

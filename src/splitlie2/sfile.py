@@ -64,7 +64,10 @@ def _parse_value(chart: Chart, v, where: str, allow_unknown=False):
                 raise StructureFileError(
                     where, f"exponent vector {exps!r} exceeds the limit {MAX_EXPONENT}"
                 )
-            mono = Poly.const(chart, Fraction(str(coeff)))
+            try:
+                mono = Poly.const(chart, Fraction(str(coeff)))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise StructureFileError(where, f"bad rational {coeff!r}: {exc}")
             for i, p in enumerate(parts):
                 for _ in range(p):
                     mono = mono * Poly.var(chart, X, i + 1)
@@ -108,6 +111,8 @@ def _load_sparse(chart, entries, shape, name, alt_slots=0, allow_unknown=False):
             return None
         return [build(dims[1:]) for _ in range(dims[0])]
 
+    if entries is not None and not isinstance(entries, list):
+        raise StructureFileError(name, "must be a list of {\"idx\": [...], \"val\": ...} entries")
     tensor = build(list(shape))
     given = {}
     for pos, ent in enumerate(entries or []):
@@ -115,8 +120,8 @@ def _load_sparse(chart, entries, shape, name, alt_slots=0, allow_unknown=False):
         if not isinstance(ent, dict) or "idx" not in ent or "val" not in ent:
             raise StructureFileError(where, "entry must be {\"idx\": [...], \"val\": ...}")
         idx = ent["idx"]
-        if len(idx) != len(shape):
-            raise StructureFileError(where, f"expected {len(shape)} indices")
+        if not isinstance(idx, list) or len(idx) != len(shape):
+            raise StructureFileError(where, f"expected a list of {len(shape)} indices")
         for q, (i, dim) in enumerate(zip(idx, shape)):
             if not isinstance(i, int) or not 1 <= i <= dim:
                 raise StructureFileError(where, f"index {i} out of range 1..{dim}")
@@ -189,6 +194,22 @@ def _dump_sparse(tensor, shape, alt_slots=0):
 
     walk(tensor, ())
     return out
+
+
+def _object(block, where: str) -> dict:
+    if not isinstance(block, dict):
+        raise StructureFileError(where, "must be an object")
+    return block
+
+
+def _rational_rows(raw, where: str, what: str):
+    """A list of lists of rationals; anything else is a located error."""
+    if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
+        raise StructureFileError(where, f"{what} must be a list of rows")
+    try:
+        return [[Fraction(str(v)) for v in r] for r in raw]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise StructureFileError(where, f"bad rational in {what}: {exc}")
 
 
 def _structure_from_block(block, where: str, chart=None):
@@ -284,7 +305,7 @@ def parse_structure_file(text: str) -> StructureFile:
                     if v is UNKNOWN or not v.is_zero:
                         sf.mc_k[(i + 1, j + 1, l + 1)] = v
     if "gamma" in doc:
-        gblock = dict(doc["gamma"])
+        gblock = dict(_object(doc["gamma"], "gamma"))
         gblock.setdefault("base_dim", n)
         gblock.setdefault("rank1", r2)
         gblock.setdefault("rank2", r1)
@@ -292,8 +313,8 @@ def parse_structure_file(text: str) -> StructureFile:
             raise StructureFileError("gamma", "dual block must have swapped ranks")
         sf.dual = _structure_from_block(gblock, "gamma")
     if "morphism" in doc:
-        mb = doc["morphism"]
         where = "morphism"
+        mb = _object(doc["morphism"], where)
         cod = mb.get("codomain", "self")
         if cod == "self":
             cod_chart = ch
@@ -315,21 +336,23 @@ def parse_structure_file(text: str) -> StructureFile:
             raw = mb.get(field)
             if raw is None:
                 raise StructureFileError(where, f"missing {field}")
-            if len(raw) != rows or any(len(r) != cols for r in raw):
+            out = _rational_rows(raw, where, field)
+            if len(out) != rows or any(len(r) != cols for r in out):
                 raise StructureFileError(where, f"{field} must be {rows}x{cols}")
-            try:
-                return [[Fraction(str(v)) for v in r] for r in raw]
-            except ValueError as exc:
-                raise StructureFileError(where, f"bad rational in {field}: {exc}")
+            return out
 
         r1c, r2c = cod_chart.rank1, cod_chart.rank2
         f1 = matrix("f1", r1c, ch.rank1)
         f2 = matrix("f2", r2c, ch.rank2)
         f3 = [[[Fraction(0)] * r2c for _ in range(ch.rank1)] for _ in range(ch.rank1)]
-        for pos, ent in enumerate(mb.get("f3", [])):
+        f3_entries = mb.get("f3", [])
+        if not isinstance(f3_entries, list):
+            raise StructureFileError(f"{where}.f3", "must be a list of entries")
+        for pos, ent in enumerate(f3_entries):
             w = f"{where}.f3[{pos}]"
-            idx = ent.get("idx")
-            if not idx or len(idx) != 3:
+            idx = ent.get("idx") if isinstance(ent, dict) else None
+            if not (isinstance(idx, list) and len(idx) == 3
+                    and all(type(i) is int for i in idx)):
                 raise StructureFileError(w, "f3 entries are {idx: [a,b,k], val: ...}")
             a, b, k = idx
             if not (1 <= a <= ch.rank1 and 1 <= b <= ch.rank1 and 1 <= k <= r2c):
@@ -338,18 +361,16 @@ def parse_structure_file(text: str) -> StructureFile:
         sf.morphism = MorphismData(f1, f2, f3)
     if "subbundles" in doc:
         d = r1 + r2
-        for name, sb in doc["subbundles"].items():
+        for name, sb in _object(doc["subbundles"], "subbundles").items():
             where = f"subbundles.{name}"
-            try:
-                b1 = [[Fraction(str(v)) for v in row] for row in sb.get("basis1", [])]
-                b2 = [[Fraction(str(v)) for v in row] for row in sb.get("basis2", [])]
-            except ValueError as exc:
-                raise StructureFileError(where, f"bad rational: {exc}")
+            sb = _object(sb, where)
+            b1 = _rational_rows(sb.get("basis1", []), where, "basis1")
+            b2 = _rational_rows(sb.get("basis2", []), where, "basis2")
             if any(len(r) != d for r in b1) or any(len(r) != d for r in b2):
                 raise StructureFileError(where, f"basis vectors must have length {d}")
             sf.subbundles[name] = Subbundle(b1, b2)
     if "lwx" in doc:
-        lb = doc["lwx"]
+        lb = _object(doc["lwx"], "lwx")
         d = r1 + r2
         e = LWXStructure.empty(ch)
         e.partial = _load_sparse(ch, lb.get("partial"), (d, d), "lwx.partial")

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -54,12 +57,109 @@ def test_mc_check_reports_three_zero_residuals(lsa3_file):
     assert all("residual" not in c for c in mc["checks"])
 
 
-def test_determinism_modulo_timestamp(lsa3_file):
+# Exit code and sha256 of the report (timestamp removed, keys sorted) of
+# each case of golden_report_digests, recorded with the Fraction-only
+# coefficients and the flattened-monomial bracket kernel that the current
+# engine replaced.  A passing report carries no residual, so its digest
+# pins check ids and verdicts only (seeds 1 and 2 agree); the perturbed
+# entries cover failing residuals with non-integral coefficients.
+GOLDEN_DIGESTS = {
+    "example run-all":
+        "0:3d90df100bced845d8cf59a647fe185b5125544b308175639fbb0b5a90f3ecf5",
+    "hp-verify --count 20 --seed 1 abelian":
+        "0:bcaf0b96108040811d6f74477c87bbea2f825061f3fda8058ca48b25d01d67da",
+    "hp-verify --count 20 --seed 2 abelian":
+        "0:bcaf0b96108040811d6f74477c87bbea2f825061f3fda8058ca48b25d01d67da",
+    "calculus-identities 10 --seed 5 abelian":
+        "0:cb3480b5788ec0ec6cc64b6765e89f0716f547e893f3991ab1e44f0df5b090f7",
+    "hp-verify --count 20 --seed 1 crossed_sl2":
+        "0:954bd56c781c758f60923593a2a08ea41b9f26da60860b36c78e532c5066faf7",
+    "hp-verify --count 20 --seed 2 crossed_sl2":
+        "0:954bd56c781c758f60923593a2a08ea41b9f26da60860b36c78e532c5066faf7",
+    "calculus-identities 10 --seed 5 crossed_sl2":
+        "0:f033ae4cf266d1c124906d8caa6ad8605ac3371efb108a6248117264babb20f5",
+    "hp-verify --count 20 --seed 1 lsa3":
+        "0:4d1edbe87e98ece2a7e451cfd3ecf2f62a18debf3161e06018601f6710d939f0",
+    "hp-verify --count 20 --seed 2 lsa3":
+        "0:4d1edbe87e98ece2a7e451cfd3ecf2f62a18debf3161e06018601f6710d939f0",
+    "calculus-identities 10 --seed 5 lsa3":
+        "0:352e65c257dea46d26663ded26d66cd418d91ce5dedfd861a209657988855782",
+    "hp-verify --count 20 --seed 1 semidirect_poly":
+        "0:efbce9cdf62bf4c0234b0310a242867d69569be5fd4b93c2551e65eaf3d7c111",
+    "hp-verify --count 20 --seed 2 semidirect_poly":
+        "0:efbce9cdf62bf4c0234b0310a242867d69569be5fd4b93c2551e65eaf3d7c111",
+    "calculus-identities 10 --seed 5 semidirect_poly":
+        "0:3aefd4d7212a8b00fa6266992e4ac1ac8937c52eef47ba5bf239a7499a6fc79e",
+    "hp-verify --count 20 --seed 1 string_sl2":
+        "0:bc0465a8f17453f4c50a55534257db4e8aed202aa013f458eebedcb18138f16b",
+    "hp-verify --count 20 --seed 2 string_sl2":
+        "0:bc0465a8f17453f4c50a55534257db4e8aed202aa013f458eebedcb18138f16b",
+    "calculus-identities 10 --seed 5 string_sl2":
+        "0:71df940e92a8069e28581e4d4ae94d3cf98bcd5cafe67a0d1113fcda3f459560",
+    "check-structure perturbed[11]":
+        "1:562a9112b9958807e4179f66bf103332ac2f371a5e5b293bf828b8fd5cfaf6ad",
+    "hp-verify --count 20 perturbed[11]":
+        "1:a06e09a2e3f7b56253f68e08d5b19e63dee6b45b917f9325c204fc2b6e2cfbea",
+    "check-structure perturbed[21]":
+        "1:45a7e8ba63aa431438a6f931dd4734f672de748211ecb900622f8eb2c3eb8a26",
+    "hp-verify --count 20 perturbed[21]":
+        "1:8bb53c93dc9df5a34f5919832f49a78192daa10c10b41a62fe24311f4c5311d4",
+}
+
+
+def _body_digest(body):
+    body.pop("timestamp", None)
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
+def _cli_digest(*argv):
+    from splitlie2.cli import main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["--quiet", *argv])
+    return f"{code}:{_body_digest(json.loads(buf.getvalue()))}"
+
+
+def golden_report_digests(workdir):
+    """Report digest of every golden case, keyed by a readable label."""
+    from splitlie2.builtin import builtin_example, example_names
+    from splitlie2.cochains import verify_calculus_identities
+    from splitlie2.randomsuite import structure_suite
+    from splitlie2.sfile import render_structure
+
+    def write(label, s):
+        path = os.path.join(str(workdir), f"{label}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render_structure(s))
+        return path
+
+    out = {"example run-all": _cli_digest("example", "run-all")}
+    for name in example_names():
+        s = builtin_example(name)["structure"]
+        path = write(name, s)
+        for seed in (1, 2):
+            out[f"hp-verify --count 20 --seed {seed} {name}"] = _cli_digest(
+                "--file", path, "--count", "20", "--seed", str(seed), "hp-verify")
+        rep = verify_calculus_identities(s, 10, 5)
+        out[f"calculus-identities 10 --seed 5 {name}"] = (
+            f"{int(not rep.passed)}:{_body_digest(rep.to_dict())}")
+    suite = structure_suite(22, seed=3)
+    for t in (11, 21):
+        path = write(f"perturbed{t}", suite[t][0])
+        out[f"check-structure perturbed[{t}]"] = _cli_digest("--file", path, "check-structure")
+        out[f"hp-verify --count 20 perturbed[{t}]"] = _cli_digest(
+            "--file", path, "--count", "20", "hp-verify")
+    return out
+
+
+def test_determinism_modulo_timestamp(lsa3_file, tmp_path):
     a = json.loads(run_cli("--file", lsa3_file, "--quiet", "check-structure").stdout)
     b = json.loads(run_cli("--file", lsa3_file, "--quiet", "check-structure").stdout)
     a.pop("timestamp")
     b.pop("timestamp")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert golden_report_digests(tmp_path) == GOLDEN_DIGESTS
 
 
 def test_exit_code_one_on_failing_check(lsa3_file, tmp_path):
@@ -136,6 +236,57 @@ def test_check_filter(lsa3_file):
     doc = json.loads(r.stdout)
     ids = [c["id"] for rep in doc["reports"] for c in rep["checks"]]
     assert ids and all(i.startswith("nilpotency") for i in ids)
+
+
+def _run_with_block(tmp_path, src_file, key, value, *command):
+    doc = json.loads(open(src_file).read())
+    doc[key] = value
+    path = tmp_path / "wrong_type.json"
+    path.write_text(json.dumps(doc))
+    return run_cli("--file", str(path), "--quiet", *command)
+
+
+def test_tensor_block_that_is_not_a_list_exits_two(lsa3_file, tmp_path):
+    # "mu2": -1 used to raise TypeError and exit 1, reading as a FAIL verdict
+    r = _run_with_block(tmp_path, lsa3_file, "mu2", -1, "check-structure")
+    assert r.returncode == 2 and r.stderr == ""
+    assert json.loads(r.stdout)["error"].startswith("structure.mu2: must be a list")
+
+
+def test_subbundles_that_is_not_an_object_exits_two(lsa3_file, tmp_path):
+    # "subbundles": true used to raise AttributeError and exit 1
+    r = _run_with_block(tmp_path, lsa3_file, "subbundles", True, "dirac-check", "--strict")
+    assert r.returncode == 2 and r.stderr == ""
+    assert json.loads(r.stdout)["error"] == "subbundles: must be an object"
+
+
+_IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("key,value,location", [
+    ("mu3", [{"idx": 5, "val": 1}], "structure.mu3[0]"),
+    ("H", "x", "H"),
+    ("K", {"a": 1}, "K"),
+    ("gamma", 7, "gamma"),
+    ("gamma", {"mu1": 3}, "gamma.mu1"),
+    ("lwx", [], "lwx"),
+    ("lwx", {"c11": 1}, "lwx.c11"),
+    ("subbundles", {"A": 3}, "subbundles.A"),
+    ("subbundles", {"A": {"basis1": [1, 2]}}, "subbundles.A"),
+    ("subbundles", {"A": {"basis1": [["1/0"]]}}, "subbundles.A"),
+    ("morphism", "self", "morphism"),
+    ("morphism", {"f1": 1, "f2": []}, "morphism"),
+    ("morphism", {"f1": _IDENT3, "f2": _IDENT3, "f3": [7]}, "morphism.f3[0]"),
+    ("mu2", [{"idx": [1, 1], "val": {"": "abc"}}], "structure.mu2[0]"),
+])
+def test_wrong_block_type_is_a_located_error(lsa3_file, key, value, location):
+    from splitlie2.sfile import StructureFileError, parse_structure_file
+
+    doc = json.loads(open(lsa3_file).read())
+    doc[key] = value
+    with pytest.raises(StructureFileError) as err:
+        parse_structure_file(json.dumps(doc))
+    assert err.value.location == location
 
 
 @pytest.mark.parametrize("field,value", [("rank1", 1000000000), ("rank2", 9), ("base_dim", 99)])

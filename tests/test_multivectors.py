@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from splitlie2.bracket import derived_bracket, poisson_bracket
 from splitlie2.builtin import builtin_example, killing_form, lsa3, sl2_structure_constants, string_sl2
 from splitlie2.gradedpoly import Chart, Poly, th_dn, xi_dn
 from splitlie2.multivectors import (
@@ -26,6 +27,26 @@ def test_unary_bracket_vanishes_without_unary_map():
     alg = SAlgebra(s)
     for k in range(3):
         assert alg.b1(th_dn(s.chart, k + 1)).is_zero
+
+
+def test_memoised_brackets_equal_fresh_derived_brackets():
+    s = string_sl2()["structure"]
+    alg = SAlgebra(s)
+    rng = random.Random(5)
+    vs = [random_multivector(s.chart, rng, 4) for _ in range(4)]
+    for rnd in range(2):
+        for p in vs:
+            assert alg.b1(p) == derived_bracket(alg.mu211, [p])
+            assert alg.delta(p) == poisson_bracket(alg.mu, p)
+            assert alg.d_part(p) == poisson_bracket(alg.mu121, p)
+            for q in vs:
+                assert alg.b2(p, q) == derived_bracket(alg.mu121, [p, q])
+                for r in vs:
+                    assert alg.b3(p, q, r) == derived_bracket(alg.mu031, [p, q, r])
+        if rnd == 0:
+            assert alg._memo
+            alg.clear_memo()
+            assert not alg._memo
 
 
 def test_binary_bracket_reproduces_brackets_on_frames():
