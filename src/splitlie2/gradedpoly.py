@@ -223,6 +223,11 @@ class Poly:
         if type(other) is not Poly and isinstance(other, (int, Fraction)):
             other = Poly.const(self.chart, other)
         self._check(other)
+        # polys are immutable, so a zero operand can hand back the other one
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for m, c in other.terms.items():
             c2 = terms.get(m, 0) + c
@@ -245,7 +250,19 @@ class Poly:
     def __sub__(self, other):
         if type(other) is not Poly and isinstance(other, (int, Fraction)):
             other = Poly.const(self.chart, other)
-        return self + (-other)
+        self._check(other)
+        if not other.terms:
+            return self
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            c2 = terms.get(m, 0) - c
+            if c2 == 0:
+                terms.pop(m, None)
+            else:
+                terms[m] = c2
+        out = Poly.__new__(Poly)
+        out.chart, out.terms = self.chart, terms
+        return out
 
     def __rsub__(self, other):
         return Poly.const(self.chart, other) - self

@@ -51,19 +51,22 @@ def is_multivector(p: Poly) -> bool:
 
 def section1(chart: Chart, coeffs) -> Poly:
     """Embed a degree -1 section (coefficients over the xi_ frame)."""
-    out = Poly.zero(chart)
-    for j, c in enumerate(coeffs):
-        term = c if isinstance(c, Poly) else Poly.const(chart, c)
-        out = out + term * xi_dn(chart, j + 1)
-    return out
+    return _frame_section(chart, coeffs, xi_dn)
 
 
 def section2(chart: Chart, coeffs) -> Poly:
     """Embed a degree -2 section (coefficients over the th_ frame)."""
+    return _frame_section(chart, coeffs, th_dn)
+
+
+def _frame_section(chart: Chart, coeffs, generator) -> Poly:
+    """sum of c_j generator_j over the nonzero coefficients c_j."""
     out = Poly.zero(chart)
     for j, c in enumerate(coeffs):
+        if not c:
+            continue
         term = c if isinstance(c, Poly) else Poly.const(chart, c)
-        out = out + term * th_dn(chart, j + 1)
+        out = out + term * generator(chart, j + 1)
     return out
 
 

@@ -24,6 +24,7 @@ FORMAT_VERSION = 1
 MAX_RANK = 8  # rank1, rank2 of every structure block
 MAX_BASE_DIM = 8
 MAX_EXPONENT = 32  # per base variable, in polynomial values
+MAX_DIGITS = 4300  # decimal digits of a rational's numerator or denominator
 
 
 class StructureFileError(ValueError):
@@ -37,6 +38,38 @@ class StructureFileError(ValueError):
 UNKNOWN = object()  # sentinel for "?" slots
 
 
+def _digit_bound(text: str) -> int:
+    """An upper bound on the decimal digits of the numerator and of the
+    denominator that Fraction(text) builds, read off the text: "p/q" gives
+    the digits of p and of q; a decimal "a.bEk" gives those of a and b plus
+    k on the numerator, or 1 plus those of b minus k on the denominator."""
+    mant, _, exp_text = text.lower().partition("e")
+    try:
+        exp = int(exp_text.replace("_", "")) if exp_text else 0
+    except ValueError:
+        return 0  # not a rational; Fraction rejects it without expanding
+    count = lambda part: sum(ch.isdigit() for ch in part)
+    num, _, den = mant.partition("/")
+    whole, _, frac = num.partition(".")
+    return max(count(whole) + count(frac) + max(exp, 0),
+               (count(den) if den else 1 + count(frac)) + max(-exp, 0))
+
+
+def _rational(v, where: str, what: str = "rational") -> Fraction:
+    """A rational from an int or a string, or a located error.  The size is
+    checked before Fraction runs: Fraction("1e5000000") would build
+    10**5000000 first."""
+    text = str(v)
+    if _digit_bound(text) > MAX_DIGITS:
+        raise StructureFileError(
+            where, f"{what} {text[:40]!r} exceeds the limit of {MAX_DIGITS} digits"
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise StructureFileError(where, f"bad {what} {v!r}: {exc}")
+
+
 def _parse_value(chart: Chart, v, where: str, allow_unknown=False):
     if v == "?" and allow_unknown:
         return UNKNOWN
@@ -45,10 +78,7 @@ def _parse_value(chart: Chart, v, where: str, allow_unknown=False):
     if isinstance(v, int):
         return Poly.const(chart, v)
     if isinstance(v, str):
-        try:
-            return Poly.const(chart, Fraction(v))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise StructureFileError(where, f"bad rational {v!r}: {exc}")
+        return Poly.const(chart, _rational(v, where))
     if isinstance(v, dict):
         acc = Poly.zero(chart)
         for exps, coeff in v.items():
@@ -64,10 +94,7 @@ def _parse_value(chart: Chart, v, where: str, allow_unknown=False):
                 raise StructureFileError(
                     where, f"exponent vector {exps!r} exceeds the limit {MAX_EXPONENT}"
                 )
-            try:
-                mono = Poly.const(chart, Fraction(str(coeff)))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise StructureFileError(where, f"bad rational {coeff!r}: {exc}")
+            mono = Poly.const(chart, _rational(coeff, where))
             for i, p in enumerate(parts):
                 for _ in range(p):
                     mono = mono * Poly.var(chart, X, i + 1)
@@ -206,10 +233,7 @@ def _rational_rows(raw, where: str, what: str):
     """A list of lists of rationals; anything else is a located error."""
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise StructureFileError(where, f"{what} must be a list of rows")
-    try:
-        return [[Fraction(str(v)) for v in r] for r in raw]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise StructureFileError(where, f"bad rational in {what}: {exc}")
+    return [[_rational(v, where, f"rational in {what}") for v in r] for r in raw]
 
 
 def _structure_from_block(block, where: str, chart=None):
@@ -357,7 +381,7 @@ def parse_structure_file(text: str) -> StructureFile:
             a, b, k = idx
             if not (1 <= a <= ch.rank1 and 1 <= b <= ch.rank1 and 1 <= k <= r2c):
                 raise StructureFileError(w, "f3 index out of range")
-            f3[a - 1][b - 1][k - 1] = Fraction(str(ent.get("val", 0)))
+            f3[a - 1][b - 1][k - 1] = _rational(ent.get("val", 0), w)
         sf.morphism = MorphismData(f1, f2, f3)
     if "subbundles" in doc:
         d = r1 + r2

@@ -304,6 +304,24 @@ def test_oversized_exponent_is_rejected_quickly(tmp_path):
     _assert_rejected_quickly(tmp_path, doc, "exceeds the limit")
 
 
+@pytest.mark.parametrize("site,located", [
+    ("value", "structure.mu3[0]: rational '1e5000000' exceeds the limit"),
+    ("coefficient", "structure.mu3[0]: rational '1e5000000' exceeds the limit"),
+    ("basis-row", "subbundles.A: rational in basis1 '1e5000000' exceeds the limit"),
+])
+def test_huge_decimal_exponent_is_rejected_quickly(lsa3_file, tmp_path, site, located):
+    # Fraction("1e5000000") builds 10**5000000 first: this used to run for
+    # 79 s and end in an unlocated integer-conversion error
+    doc = json.loads(open(lsa3_file).read())
+    if site == "value":
+        doc["mu3"][0]["val"] = "1e5000000"
+    elif site == "coefficient":
+        doc["mu3"][0]["val"] = {"": "1e5000000"}
+    else:
+        doc["subbundles"] = {"A": {"basis1": [["1e5000000"] + [0] * 5], "basis2": []}}
+    _assert_rejected_quickly(tmp_path, doc, located)
+
+
 def _assert_rejected_quickly(tmp_path, doc, located):
     import time
 

@@ -120,3 +120,38 @@ def test_rendering_deterministic_and_exact():
     assert p.render() == "2 - x2 + 3/4 th1 xi_1"
     assert Poly.zero(CH).render() == "0"
     assert (x_(CH, 1) * x_(CH, 1)).render() == "x1^2"
+
+
+def test_sub_equals_add_of_negation_on_random_pairs():
+    from randpoly import random_homogeneous
+
+    rng = random.Random(7)
+    for _ in range(300):
+        ch = Chart(rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 3))
+        a = random_homogeneous(rng, ch, rng.randint(0, 5))
+        b = random_homogeneous(rng, ch, rng.randint(0, 5))
+        if rng.random() < 0.3:
+            b = b * Fraction(rng.randint(1, 5), rng.randint(2, 7))
+        for u, v in ((a, b), (b, a), (a, a), (a, a * 2)):
+            assert u - v == u + (-v)
+            assert (u - v).terms == (u + (-v)).terms
+
+
+def test_zero_operands_of_sums():
+    a = Fraction(3, 4) * (xi_dn(CH, 1) * th_up(CH, 1)) - x_(CH, 2)
+    z = Poly.zero(CH)
+    assert a + z == a and z + a == a
+    assert a - z == a and z - a == -a
+    assert (z + z).is_zero and (z - z).is_zero and (a - a).is_zero
+    assert 0 + a == a and a + 0 == a and a - 0 == a
+    for p in (a + z, z + a, a - z, z - a, z + z, z - z):
+        assert p.chart == CH and all(c != 0 for c in p.terms.values())
+
+
+def test_zero_poly_on_another_chart_still_raises():
+    other = Chart(1, 2, 2)
+    a, z = x_(CH, 1), Poly.zero(other)
+    for op in (lambda: a + z, lambda: z + a, lambda: a - z, lambda: z - a,
+               lambda: Poly.zero(CH) + z, lambda: Poly.zero(CH) - z):
+        with pytest.raises(ChartMismatchError):
+            op()

@@ -145,3 +145,34 @@ def test_rejects_oversized_morphism_codomain():
     doc["morphism"] = {"codomain": {"base_dim": 0, "rank1": 1000000000, "rank2": 1}}
     with pytest.raises(StructureFileError, match="morphism.codomain: rank1 1000000000"):
         parse_structure_file(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["1e4299", "-1E4299", "1e-4298", "3/7", "0.25e2",
+                                  "9" * 4300, "1/" + "7" * 4300])
+def test_rationals_within_the_digit_limit_parse(text):
+    from fractions import Fraction
+
+    doc = _base_doc()
+    doc["H"] = [{"idx": [1, 1], "val": text}]
+    assert parse_structure_file(json.dumps(doc)).mc_h[0][0].terms[()] == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e5000000", "1E+5000000", "1e-4300", "1e-5000000",
+                                  "0e5000000", "1e" + "9" * 50, "9" * 4301, "1/" + "7" * 4301,
+                                  "0." + "0" * 4300 + "1"])
+def test_rationals_beyond_the_digit_limit_are_located_errors(text):
+    from splitlie2.sfile import MAX_DIGITS
+
+    doc = _base_doc()
+    doc["H"] = [{"idx": [1, 1], "val": text}]
+    with pytest.raises(StructureFileError, match=f"H\\[0\\]: .* {MAX_DIGITS} digits"):
+        parse_structure_file(json.dumps(doc))
+
+
+def test_bad_f3_rational_is_a_located_error():
+    doc = _base_doc()
+    ident = [[int(i == j) for j in range(3)] for i in range(3)]
+    doc["morphism"] = {"f1": ident, "f2": ident, "f3": [{"idx": [1, 2, 1], "val": "abc"}]}
+    with pytest.raises(StructureFileError) as err:
+        parse_structure_file(json.dumps(doc))
+    assert err.value.location == "morphism.f3[0]"
