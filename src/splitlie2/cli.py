@@ -329,8 +329,8 @@ def cmd_example(args):
 
 
 def _add_common(ap, suppress=False):
-    # registered on the main parser and again on every subcommand so the
-    # flags may be given on either side of the command word
+    # registered on the main parser and, through one parent parser, on every
+    # subcommand, so the flags may be given on either side of the command word
     kw = lambda default: {"default": argparse.SUPPRESS} if suppress else {"default": default}
     ap.add_argument("--file", help="input structure file (JSON)", **kw(None))
     ap.add_argument("--check", help="restrict output to checks with this prefix", **kw("all"))
@@ -349,6 +349,10 @@ def build_parser():
         description="Exact checks for split Lie 2-algebroid structures and their doubles.",
     )
     _add_common(ap)
+    # on a subcommand the flags keep no default, so they do not overwrite
+    # the value given before the command word
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common, suppress=True)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, fn in [
         ("check-structure", cmd_check_structure),
@@ -362,19 +366,15 @@ def build_parser():
         ("lwx-check", cmd_lwx_check),
         ("manin-extract", cmd_manin_extract),
     ]:
-        p = sub.add_parser(name)
-        _add_common(p, suppress=True)
-        p.set_defaults(fn=fn)
-    p = sub.add_parser("dirac-check")
-    _add_common(p, suppress=True)
+        sub.add_parser(name, parents=[common]).set_defaults(fn=fn)
+    p = sub.add_parser("dirac-check", parents=[common])
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--strict", action="store_true")
     group.add_argument("--weak", action="store_true")
     p.add_argument("--graph", action="store_true",
                    help="build the graph of the file's degree-3 element")
     p.set_defaults(fn=cmd_dirac_check)
-    p = sub.add_parser("example")
-    _add_common(p, suppress=True)
+    p = sub.add_parser("example", parents=[common])
     p.add_argument("action", choices=["list", "show", "run-all"])
     p.add_argument("name", nargs="?")
     p.set_defaults(fn=cmd_example)

@@ -283,7 +283,8 @@ class Poly:
                 s, m = mono_mul(m1, m2)
                 if s == 0:
                     continue
-                c = terms.get(m, 0) + s * c1 * c2
+                c = c1 * c2
+                c = terms.get(m, 0) + (c if s > 0 else -c)
                 if c == 0:
                     terms.pop(m, None)
                 else:

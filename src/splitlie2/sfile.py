@@ -306,7 +306,7 @@ class StructureFile:
 def parse_structure_file(text: str) -> StructureFile:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal over 4300 digits
         raise StructureFileError("json", str(exc))
     if not isinstance(doc, dict):
         raise StructureFileError("json", "top level must be an object")

@@ -21,7 +21,6 @@ implemented so each can check the other.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -164,18 +163,8 @@ class Lie2Structure:
         return True
 
     def equals(self, other: "Lie2Structure") -> bool:
-        if self.chart != other.chart:
-            return False
-        shp = self.shape()
-        for name in shp:
-            a, b = getattr(self, name), getattr(other, name)
-            for idx, e in tensor_entries(a, shp[name]):
-                f = b
-                for i in idx:
-                    f = f[i]
-                if e != f:
-                    return False
-        return True
+        return self.chart == other.chart and all(
+            getattr(self, name) == getattr(other, name) for name in self.shape())
 
 
 # -- section calculus --------------------------------------------------------
@@ -197,6 +186,10 @@ def vec_sub(u, v):
 
 def vec_scale(u, c):
     return [a * c for a in u]
+
+
+def vec_nonzero(u):
+    return any(a.terms for a in u)
 
 
 def d_dx(f: Poly, i: int) -> Poly:
@@ -349,6 +342,89 @@ class Lie2Ops:
         return out
 
 
+# -- frame tables -------------------------------------------------------------
+
+
+@dataclass
+class FrameTables:
+    """Every bracket of an ops object on a constant frame (b1, b2).
+
+    anchor[i][m] = a(b1_i) x_{m+1}, l1[j] = l1(b2_j), l11[i][j] = l2(b1_i, b1_j),
+    l12[i][j] = l2(b1_i, b2_j), l21[j][i] = l2(b2_j, b1_i) and
+    l3[i][j][k] = l3(b1_i, b1_j, b1_k).
+    """
+
+    b1: list
+    b2: list
+    anchor: list
+    l1: list
+    l11: list
+    l12: list
+    l21: list
+    l3: list
+
+
+def frame_tables(ops, B1, B2) -> FrameTables:
+    """Evaluate each bracket once on the constant frames B1 (degree -1
+    sections) and B2 (degree -2 sections)."""
+    ch = ops.chart
+    coords = [x_(ch, i + 1) for i in range(ch.base_dim)]
+    return FrameTables(
+        B1,
+        B2,
+        [[ops.anchor(x, f) for f in coords] for x in B1],
+        [ops.l1(m) for m in B2],
+        [[ops.l2_11(x, y) for y in B1] for x in B1],
+        [[ops.l2_12(x, m) for m in B2] for x in B1],
+        [[ops.l2_21(m, x) for x in B1] for m in B2],
+        [[[ops.l3(x, y, z) for z in B1] for y in B1] for x in B1],
+    )
+
+
+def unit_frame_tables(ops) -> FrameTables:
+    ch = ops.chart
+    return frame_tables(ops, [basis_vector(ch, ops.r1, i) for i in range(ops.r1)],
+                        [basis_vector(ch, ops.r2, j) for j in range(ops.r2)])
+
+
+def map_sections(fn, table, depth):
+    """fn on each section of a table nested `depth` levels deep."""
+    return [fn(v) if depth == 1 else map_sections(fn, v, depth - 1) for v in table]
+
+
+def const_frame(chart, rows):
+    """Rational frame rows as constant sections."""
+    return [[Poly.const(chart, c) for c in row] for row in rows]
+
+
+def pull_back(ops, B1, B2, re1, re2) -> FrameTables:
+    """frame_tables on (B1, B2), with each degree -1 section value mapped by
+    re1 and each degree -2 one by re2."""
+    t = frame_tables(ops, B1, B2)
+    return FrameTables(B1, B2, t.anchor, map_sections(re1, t.l1, 1),
+                       map_sections(re1, t.l11, 2), map_sections(re2, t.l12, 2),
+                       map_sections(re2, t.l21, 2), map_sections(re2, t.l3, 3))
+
+
+def frame_change(ops, t1, t2) -> FrameTables:
+    """The frame tables on the rows of t1 (degree -1) and t2 (degree -2),
+    written in that frame."""
+    inv1, inv2 = invert(t1), invert(t2)
+    if inv1 is None or inv2 is None:
+        raise ValueError("frame change must be invertible")
+    ch = ops.chart
+
+    def written_in(inv):
+        size = len(inv)
+        return lambda vec: [
+            sum((vec[b] * Fraction(inv[b][a]) for b in range(size)), Poly.zero(ch))
+            for a in range(size)
+        ]
+
+    return pull_back(ops, const_frame(ch, t1), const_frame(ch, t2),
+                     written_in(inv1), written_in(inv2))
+
+
 # -- generating function ------------------------------------------------------
 
 
@@ -464,108 +540,133 @@ def decode_mu(mu: Poly, chart: Chart) -> Lie2Structure:
 # -- direct axiom checking ----------------------------------------------------
 
 
-def _vecstr(v):
+def vecstr(v):
     parts = [f"[{i + 1}] {p.render()}" for i, p in enumerate(v) if not p.is_zero]
     return "; ".join(parts)
 
 
-def check_leibniz2_axioms(ops, report: CheckReport, tag: str = "leibniz2"):
-    """Axioms of a 2-term bracket system, on all frame tuples.
+def _signed_sum(zero, *terms):
+    """Sum of the signed sections (sign, v); a v of None is zero."""
+    total = zero
+    for sign, v in terms:
+        if v is not None:
+            total = vec_add(total, v) if sign > 0 else vec_sub(total, v)
+    return total
 
-    Each inner bracket of frame vectors is evaluated once, into the local
-    tables L1, L11, L12, L21 and L3; every outer bracket is a fresh `ops`
-    evaluation, so this route stays independent of {mu,mu} = 0.
+
+def check_leibniz2_tables(ops, t: FrameTables, report: CheckReport, tag: str):
+    """check_leibniz2_axioms with its inner brackets read from the tables `t`
+    on unit frames.
+
+    Every outer bracket is a fresh `ops` evaluation, so this route stays
+    independent of {mu,mu} = 0.  An outer bracket with a zero table argument
+    is not evaluated: the brackets are multilinear, so its value is zero.
+    Each residual is lhs - rhs of its law, as one signed sum.
     """
     r1, r2 = ops.r1, ops.r2
-    ch = ops.chart
-    E = [basis_vector(ch, r1, i) for i in range(r1)]
-    F = [basis_vector(ch, r2, j) for j in range(r2)]
-    L1 = [ops.l1(m) for m in F]
-    L11 = [[ops.l2_11(x, y) for y in E] for x in E]
-    L12 = [[ops.l2_12(x, m) for m in F] for x in E]
-    L21 = [[ops.l2_21(m, x) for x in E] for m in F]
-    L3 = [[[ops.l3(x, y, z) for z in E] for y in E] for x in E]
+    E, F = t.b1, t.b2
+    zero1, zero2 = [ops._zero] * r1, [ops._zero] * r2
+    # the tables with each zero section as None; a frame vector is never zero
+    sparse = lambda table, depth: map_sections(lambda v: v if vec_nonzero(v) else None,
+                                               table, depth)
+    L1, L11, L12, L21 = sparse(t.l1, 1), sparse(t.l11, 2), sparse(t.l12, 2), sparse(t.l21, 2)
+    L3 = sparse(t.l3, 3)
+
+    def l1(v):
+        return None if v is None else ops.l1(v)
+
+    def l2_11(x, y):
+        return None if x is None or y is None else ops.l2_11(x, y)
+
+    def l2_12(x, m):
+        return None if x is None or m is None else ops.l2_12(x, m)
+
+    def l2_21(m, x):
+        return None if m is None or x is None else ops.l2_21(m, x)
+
+    def l3(x, y, z):
+        return None if x is None or y is None or z is None else ops.l3(x, y, z)
 
     for i in range(r1):
         for j in range(r2):
-            x, m = E[i], F[j]
-            res = vec_sub(ops.l1(L12[i][j]), ops.l2_11(x, L1[j]))
-            report.add(f"{tag}.a[{i + 1},{j + 1}]", "d l2(x,m) = l2(x, d m)", _vecstr(res))
-            res = vec_add(ops.l1(L21[j][i]), ops.l2_11(L1[j], x))
-            report.add(f"{tag}.b[{i + 1},{j + 1}]", "d l2(m,x) = -l2(d m, x)", _vecstr(res))
+            x = E[i]
+            res = _signed_sum(zero1, (1, l1(L12[i][j])), (-1, l2_11(x, L1[j])))
+            report.add(f"{tag}.a[{i + 1},{j + 1}]", "d l2(x,m) = l2(x, d m)", vecstr(res))
+            res = _signed_sum(zero1, (1, l1(L21[j][i])), (1, l2_11(L1[j], x)))
+            report.add(f"{tag}.b[{i + 1},{j + 1}]", "d l2(m,x) = -l2(d m, x)", vecstr(res))
     for i in range(r2):
         for j in range(r2):
-            res = vec_add(ops.l2_12(L1[i], F[j]), ops.l2_21(F[i], L1[j]))
-            report.add(f"{tag}.c[{i + 1},{j + 1}]", "l2(d m, n) = -l2(m, d n)", _vecstr(res))
+            res = _signed_sum(zero2, (1, l2_12(L1[i], F[j])), (1, l2_21(F[i], L1[j])))
+            report.add(f"{tag}.c[{i + 1},{j + 1}]", "l2(d m, n) = -l2(m, d n)", vecstr(res))
     for i in range(r1):
         for j in range(r1):
             for k in range(r1):
                 x, y, z = E[i], E[j], E[k]
-                lhs = ops.l1(L3[i][j][k])
-                rhs = vec_sub(
-                    vec_sub(ops.l2_11(x, L11[j][k]), ops.l2_11(L11[i][j], z)),
-                    ops.l2_11(y, L11[i][k]),
-                )
+                res = _signed_sum(zero1, (1, l1(L3[i][j][k])), (-1, l2_11(x, L11[j][k])),
+                                  (1, l2_11(L11[i][j], z)), (1, l2_11(y, L11[i][k])))
                 report.add(
                     f"{tag}.d[{i + 1},{j + 1},{k + 1}]",
                     "d l3(x,y,z) = l2(x,l2(y,z)) - l2(l2(x,y),z) - l2(y,l2(x,z))",
-                    _vecstr(vec_sub(lhs, rhs)),
+                    vecstr(res),
                 )
     for i in range(r1):
         for j in range(r1):
             for k in range(r2):
                 x, y, m = E[i], E[j], F[k]
-                lhs = ops.l3(x, y, L1[k])
-                rhs = vec_sub(
-                    vec_sub(ops.l2_12(x, L12[j][k]), ops.l2_12(L11[i][j], m)),
-                    ops.l2_12(y, L12[i][k]),
-                )
+                res = _signed_sum(zero2, (1, l3(x, y, L1[k])), (-1, l2_12(x, L12[j][k])),
+                                  (1, l2_12(L11[i][j], m)), (1, l2_12(y, L12[i][k])))
                 report.add(
                     f"{tag}.e1[{i + 1},{j + 1},{k + 1}]",
                     "l3(x,y,d m) = l2(x,l2(y,m)) - l2(l2(x,y),m) - l2(y,l2(x,m))",
-                    _vecstr(vec_sub(lhs, rhs)),
+                    vecstr(res),
                 )
-                lhs = vec_scale(ops.l3(x, L1[k], y), -1)
-                rhs = vec_sub(
-                    vec_sub(ops.l2_12(x, L21[k][j]), ops.l2_21(L12[i][k], y)),
-                    ops.l2_21(m, L11[i][j]),
-                )
+                # l2(m, l2(x,y)) and l2(x, l2(m,y)) appear in e2 and in e3
+                m_xy = l2_21(m, L11[i][j])
+                x_my = l2_12(x, L21[k][j])
+                res = _signed_sum(zero2, (-1, l3(x, L1[k], y)), (-1, x_my),
+                                  (1, l2_21(L12[i][k], y)), (1, m_xy))
                 report.add(
                     f"{tag}.e2[{i + 1},{j + 1},{k + 1}]",
                     "-l3(x,d m,y) = l2(x,l2(m,y)) - l2(l2(x,m),y) - l2(m,l2(x,y))",
-                    _vecstr(vec_sub(lhs, rhs)),
+                    vecstr(res),
                 )
-                lhs = vec_scale(ops.l3(L1[k], x, y), -1)
-                rhs = vec_sub(
-                    vec_add(ops.l2_21(m, L11[i][j]), ops.l2_21(L21[k][i], y)),
-                    ops.l2_12(x, L21[k][j]),
-                )
+                res = _signed_sum(zero2, (-1, l3(L1[k], x, y)), (-1, m_xy),
+                                  (-1, l2_21(L21[k][i], y)), (1, x_my))
                 report.add(
                     f"{tag}.e3[{i + 1},{j + 1},{k + 1}]",
                     "-l3(d m,x,y) = l2(m,l2(x,y)) + l2(l2(m,x),y) - l2(x,l2(m,y))",
-                    _vecstr(vec_sub(lhs, rhs)),
+                    vecstr(res),
                 )
     for i in range(r1):
         for j in range(r1):
             for k in range(r1):
                 for w in range(r1):
                     xv, yv, zv, wv = E[i], E[j], E[k], E[w]
-                    total = ops.l2_12(xv, L3[j][k][w])
-                    total = vec_sub(total, ops.l2_12(yv, L3[i][k][w]))
-                    total = vec_add(total, ops.l2_12(zv, L3[i][j][w]))
-                    total = vec_sub(total, ops.l2_21(L3[i][j][k], wv))
-                    total = vec_sub(total, ops.l3(L11[i][j], zv, wv))
-                    total = vec_sub(total, ops.l3(yv, L11[i][k], wv))
-                    total = vec_sub(total, ops.l3(yv, zv, L11[i][w]))
-                    total = vec_add(total, ops.l3(xv, L11[j][k], wv))
-                    total = vec_add(total, ops.l3(xv, zv, L11[j][w]))
-                    total = vec_sub(total, ops.l3(xv, yv, L11[k][w]))
+                    res = _signed_sum(
+                        zero2,
+                        (1, l2_12(xv, L3[j][k][w])),
+                        (-1, l2_12(yv, L3[i][k][w])),
+                        (1, l2_12(zv, L3[i][j][w])),
+                        (-1, l2_21(L3[i][j][k], wv)),
+                        (-1, l3(L11[i][j], zv, wv)),
+                        (-1, l3(yv, L11[i][k], wv)),
+                        (-1, l3(yv, zv, L11[i][w])),
+                        (1, l3(xv, L11[j][k], wv)),
+                        (1, l3(xv, zv, L11[j][w])),
+                        (-1, l3(xv, yv, L11[k][w])),
+                    )
                     report.add(
                         f"{tag}.f[{i + 1},{j + 1},{k + 1},{w + 1}]",
                         "jacobiator of l2 against l3 vanishes",
-                        _vecstr(total),
+                        vecstr(res),
                     )
     return report
+
+
+def check_leibniz2_axioms(ops, report: CheckReport, tag: str = "leibniz2"):
+    """Axioms of a 2-term bracket system, on all frame tuples; each inner
+    bracket of frame vectors is read from `unit_frame_tables`."""
+    return check_leibniz2_tables(ops, unit_frame_tables(ops), report, tag)
 
 
 def check_lie2_axioms(s: Lie2Structure) -> CheckReport:
@@ -574,21 +675,21 @@ def check_lie2_axioms(s: Lie2Structure) -> CheckReport:
     for bad in s.symmetry_violations():
         report.add_flag("symmetry", "mu3/mu5 alternating", False, bad)
     ops = Lie2Ops(s)
-    check_leibniz2_axioms(ops, report)
+    t = unit_frame_tables(ops)
+    check_leibniz2_tables(ops, t, report, "leibniz2")
     ch = s.chart
     r1, r2, n = ch.rank1, ch.rank2, ch.base_dim
+    coords = [x_(ch, m + 1) for m in range(n)]
     for j in range(r2):
-        v = ops.l1(basis_vector(ch, r2, j))
         for m in range(n):
-            res = ops.anchor(v, x_(ch, m + 1))
+            res = ops.anchor(t.l1[j], coords[m])
             report.add(f"anchor.al1[{j + 1},{m + 1}]", "a(d m) = 0", res)
     for i in range(r1):
         for j in range(r1):
-            xv, yv = basis_vector(ch, r1, i), basis_vector(ch, r1, j)
+            xv, yv = t.b1[i], t.b1[j]
             for m in range(n):
-                fm = x_(ch, m + 1)
-                lhs = ops.anchor(ops.l2_11(xv, yv), fm)
-                rhs = ops.anchor(xv, ops.anchor(yv, fm)) - ops.anchor(yv, ops.anchor(xv, fm))
+                lhs = ops.anchor(t.l11[i][j], coords[m])
+                rhs = ops.anchor(xv, t.anchor[j][m]) - ops.anchor(yv, t.anchor[i][m])
                 report.add(
                     f"anchor.morphism[{i + 1},{j + 1},{m + 1}]",
                     "a(l2(x,y)) = [a(x), a(y)]",
@@ -709,7 +810,7 @@ def check_morphism(fdata: MorphismData, dom_ops, cod_ops) -> CheckReport:
     for j in range(r2d):
         m = f(j)
         res = vec_sub(push1(dom_ops.l1(m)), cod_ops.l1(push2(m)))
-        report.add(f"morphism.chain[{j + 1}]", "F1 d = d' F2", _vecstr(res))
+        report.add(f"morphism.chain[{j + 1}]", "F1 d = d' F2", vecstr(res))
     for i in range(r1d):
         for j in range(r1d):
             x, y = e(i), e(j)
@@ -718,7 +819,7 @@ def check_morphism(fdata: MorphismData, dom_ops, cod_ops) -> CheckReport:
             report.add(
                 f"morphism.sq11[{i + 1},{j + 1}]",
                 "F1 l2(x,y) - l2'(F1x,F1y) = d' F3(x,y)",
-                _vecstr(res),
+                vecstr(res),
             )
     for i in range(r1d):
         for j in range(r2d):
@@ -728,14 +829,14 @@ def check_morphism(fdata: MorphismData, dom_ops, cod_ops) -> CheckReport:
             report.add(
                 f"morphism.sq12[{i + 1},{j + 1}]",
                 "F2 l2(x,m) - l2'(F1x,F2m) = F3(x, d m)",
-                _vecstr(res),
+                vecstr(res),
             )
             res = vec_sub(push2(dom_ops.l2_21(m, x)), cod_ops.l2_21(push2(m), push1(x)))
             res = vec_add(res, f3(dom_ops.l1(m), x))
             report.add(
                 f"morphism.sq21[{i + 1},{j + 1}]",
                 "F2 l2(m,x) - l2'(F2m,F1x) = -F3(d m, x)",
-                _vecstr(res),
+                vecstr(res),
             )
     for i in range(r1d):
         for j in range(r1d):
@@ -752,7 +853,7 @@ def check_morphism(fdata: MorphismData, dom_ops, cod_ops) -> CheckReport:
                 report.add(
                     f"morphism.hept[{i + 1},{j + 1},{k + 1}]",
                     "heptagon relation between l3, l3' and F3",
-                    _vecstr(total),
+                    vecstr(total),
                 )
     for i in range(r1d):
         for m in range(ch.base_dim):
@@ -768,41 +869,5 @@ def check_morphism(fdata: MorphismData, dom_ops, cod_ops) -> CheckReport:
 
 def transport(s: Lie2Structure, t1, t2) -> Lie2Structure:
     """Structure in a new frame; rows of t1/t2 are the new frame vectors."""
-    ch = s.chart
-    r1, r2, n = ch.rank1, ch.rank2, ch.base_dim
-    ops = Lie2Ops(s)
-    inv1 = invert(t1)
-    inv2 = invert(t2)
-    if inv1 is None or inv2 is None:
-        raise ValueError("frame change must be invertible")
-    new = Lie2Structure.zero(ch)
-    bas1 = [[Poly.const(ch, t1[i][j]) for j in range(r1)] for i in range(r1)]
-    bas2 = [[Poly.const(ch, t2[i][j]) for j in range(r2)] for i in range(r2)]
-
-    def re1(vec):
-        # express a constant-free poly vector in the new degree -1 frame
-        return [
-            sum((vec[b] * Fraction(inv1[b][a]) for b in range(r1)), Poly.zero(ch))
-            for a in range(r1)
-        ]
-
-    def re2(vec):
-        return [
-            sum((vec[b] * Fraction(inv2[b][a]) for b in range(r2)), Poly.zero(ch))
-            for a in range(r2)
-        ]
-
-    for j in range(r1):
-        for i in range(n):
-            new.mu1[j][i] = ops.anchor(bas1[j], x_(ch, i + 1))
-    for j in range(r2):
-        new.mu2[j] = re1(ops.l1(bas2[j]))
-    for i in range(r1):
-        for j in range(r1):
-            new.mu3[i][j] = re1(ops.l2_11(bas1[i], bas1[j]))
-    for i in range(r1):
-        for j in range(r2):
-            new.mu4[i][j] = re2(ops.l2_12(bas1[i], bas2[j]))
-    for i, j, k in itertools.product(range(r1), repeat=3):
-        new.mu5[i][j][k] = re2(ops.l3(bas1[i], bas1[j], bas1[k]))
-    return new
+    t = frame_change(Lie2Ops(s), t1, t2)
+    return Lie2Structure(s.chart, t.anchor, t.l1, t.l11, t.l12, t.l3)

@@ -1,28 +1,49 @@
-"""The table route of the direct axiom suite against the oracle without tables.
+"""The frame-table routes against the oracles without tables.
 
-Every record (id, verdict, residual) of ``check_leibniz2_axioms`` must
-equal the record of ``leibniz_oracle.check_leibniz2_axioms``.  Inputs:
-every ``structure_suite`` entry, valid and perturbed, on ``Lie2Ops``, and
-the doubles of four builtin pairs on ``LWXOps`` (block i of
-``check_lwx_axioms``).
+Every record (id, verdict, residual) of ``check_leibniz2_axioms``,
+``check_lie2_axioms``, ``check_lwx_axioms`` and ``check_strict_dirac``
+must equal the record of its ``leibniz_oracle`` counterpart, and every
+tensor of ``transport``, ``lwx_transport`` and the restrictions must be
+equal.  Inputs: every ``structure_suite`` entry, valid and perturbed, on
+``Lie2Ops``; the doubles of four builtin pairs on ``LWXOps``, with both
+canonical halves; and perturbed doubles, so that failing residuals and
+failing closure details are compared too.
 """
+
+import random
 
 import pytest
 
 import leibniz_oracle as oracle
 from splitlie2.builtin import builtin_example
-from splitlie2.lwx import LWXOps, build_double
-from splitlie2.randomsuite import structure_suite
+from splitlie2.gradedpoly import Poly
+from splitlie2.linalg import invert
+from splitlie2.lwx import (
+    LWXOps,
+    Subbundle,
+    build_double,
+    check_lwx_axioms,
+    check_strict_dirac,
+    hyperbolic_pairing,
+    lwx_transport,
+    restrict_to_subbundle,
+)
+from splitlie2.randomsuite import _random_invertible, structure_suite
 from splitlie2.report import CheckReport
-from splitlie2.structures import Lie2Ops, check_leibniz2_axioms
+from splitlie2.structures import Lie2Ops, check_leibniz2_axioms, check_lie2_axioms, transport
 from splitlie2.twisting import BialgebroidPair
 
 SUITE = structure_suite(50, seed=11)
+DOUBLES = [("lsa3", True), ("string_sl2", True), ("crossed_sl2", False),
+           ("semidirect_poly", False)]
+
+
+def _report_records(rep):
+    return [(r.check_id, r.passed, r.residual) for r in rep.records]
 
 
 def _records(check, ops, tag):
-    rep = check(ops, CheckReport("t"), tag=tag)
-    return [(r.check_id, r.passed, r.residual) for r in rep.records]
+    return _report_records(check(ops, CheckReport("t"), tag=tag))
 
 
 def _assert_same(ops, tag):
@@ -42,13 +63,117 @@ def test_structure_suite_covers_both_verdicts():
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("name,twisted", [("lsa3", True), ("string_sl2", True),
-                                          ("crossed_sl2", False), ("semidirect_poly", False)])
-def test_tables_match_oracle_on_doubles(name, twisted):
+def _double(name, twisted, cross_check=True):
     ex = builtin_example(name)
     s = ex["structure"]
     pair = BialgebroidPair.from_twist(s, ex["mc"]) if twisted else BialgebroidPair.abelian(s)
-    e, rep = build_double(pair)
+    e, rep = build_double(pair, cross_check=cross_check)
     assert rep.passed
+    return e
+
+
+@pytest.mark.parametrize("name,twisted", DOUBLES)
+def test_tables_match_oracle_on_doubles(name, twisted):
+    e = _double(name, twisted)
     records = _assert_same(LWXOps(e), "lwx.i")
     assert records and all(passed for _, passed, _ in records)
+
+
+def test_lie2_axioms_and_transport_match_oracle_on_structure_suite():
+    rng = random.Random(11)
+    verdicts = set()
+    for s, _ in SUITE:
+        new = _report_records(check_lie2_axioms(s))
+        assert new == _report_records(oracle.check_lie2_axioms(s))
+        verdicts.update(passed for _, passed, _ in new)
+        t1 = _random_invertible(rng, s.chart.rank1)
+        t2 = _random_invertible(rng, s.chart.rank2)
+        assert transport(s, t1, t2).equals(oracle.transport(s, t1, t2))
+    assert verdicts == {True, False}
+
+
+def _dirac_outcome(check, e, sub):
+    """Records and restriction of a strict Dirac check, or its error."""
+    try:
+        rep, restricted = check(e, sub)
+    except ValueError as exc:
+        return "error", str(exc)
+    return _report_records(rep), restricted
+
+
+def _assert_same_dirac(e, sub):
+    new = _dirac_outcome(check_strict_dirac, e, sub)
+    old = _dirac_outcome(oracle.check_strict_dirac, e, sub)
+    assert new[0] == old[0]
+    if isinstance(new[1], str) or new[1] is None:
+        assert new[1] == old[1]
+    else:
+        assert new[1].equals(old[1])
+        assert new[1].equals(restrict_to_subbundle(e, sub))
+    return new
+
+
+def _hyperbolic_partner(t1, r1, r2):
+    """t2 with t1 S t2^T = S for the hyperbolic pairing S."""
+    s = hyperbolic_pairing(r1, r2)
+    d = len(s)
+    mul = lambda a, b: [[sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d)]
+                        for i in range(d)]
+    t2t = mul(mul(invert(s), invert(t1)), s)
+    return [[t2t[j][i] for j in range(d)] for i in range(d)]
+
+
+@pytest.mark.parametrize("name,twisted", DOUBLES)
+def test_lwx_suites_and_pullbacks_match_oracle_on_doubles(name, twisted):
+    e = _double(name, twisted, cross_check=False)
+    new = _report_records(check_lwx_axioms(e))
+    assert new == _report_records(oracle.check_lwx_axioms(e))
+    assert all(passed for _, passed, _ in new)
+    for sub in (Subbundle.canonical_half(e.chart), Subbundle.canonical_dual_half(e.chart)):
+        records, restricted = _assert_same_dirac(e, sub)
+        assert restricted is not None and all(passed for _, passed, _ in records)
+    t1 = _random_invertible(random.Random(name), e.d1)
+    t2 = _hyperbolic_partner(t1, e.chart.rank1, e.chart.rank2)
+    moved = lwx_transport(e, t1, t2)
+    assert moved.equals(oracle.lwx_transport(e, t1, t2))
+    assert not moved.equals(e)
+
+
+def _bump(e, table, index, k, sign=1):
+    ch = e.chart
+    node = getattr(e, table)
+    for i in index[:-1]:
+        node = node[i]
+    v = node[index[-1]]
+    node[index[-1]] = [v[q] + (Poly.const(ch, sign) if q == k else Poly.zero(ch))
+                       for q in range(e.d1)]
+
+
+def _perturbed_double(name):
+    """A builtin double with one tensor bumped, as in test_lwx.py."""
+    e = _double("lsa3" if name == "unary" else "string_sl2", True, cross_check=False)
+    if name == "threeform":
+        perms = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+                 (1, 0, 2): -1, (0, 2, 1): -1, (2, 1, 0): -1}
+        for index, sign in perms.items():
+            _bump(e, "omega", index, 0, sign)
+    elif name == "binary":  # leaves the first half: its closure fails
+        _bump(e, "c11", (0, 1), 3)
+        _bump(e, "c11", (1, 0), 3, -1)
+    elif name == "mixed":  # the first half's restriction raises
+        _bump(e, "c12", (0, 0), 0)
+    elif name == "mixed21":  # one mixed order leaves the first half
+        _bump(e, "c21", (0, 0), 1)
+    else:  # the unary map leaves the first half
+        _bump(e, "partial", (1,), 4)
+    return e
+
+
+@pytest.mark.parametrize("name", ["threeform", "binary", "mixed", "mixed21", "unary"])
+def test_lwx_suites_match_oracle_on_perturbed_doubles(name):
+    e = _perturbed_double(name)
+    new = _report_records(check_lwx_axioms(e))
+    assert new == _report_records(oracle.check_lwx_axioms(e))
+    assert not all(passed for _, passed, _ in new)
+    for sub in (Subbundle.canonical_half(e.chart), Subbundle.canonical_dual_half(e.chart)):
+        _assert_same_dirac(e, sub)

@@ -22,6 +22,11 @@ def run_cli(*args, inputs=None):
     )
 
 
+def _read_doc(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @pytest.fixture(scope="module")
 def lsa3_file(tmp_path_factory):
     r = run_cli("example", "show", "lsa3")
@@ -163,7 +168,7 @@ def test_determinism_modulo_timestamp(lsa3_file, tmp_path):
 
 
 def test_exit_code_one_on_failing_check(lsa3_file, tmp_path):
-    doc = json.loads(open(lsa3_file).read())
+    doc = _read_doc(lsa3_file)
     doc["H"] = [{"idx": [1, 1], "val": 1}, {"idx": [1, 2], "val": 1}]
     doc["K"] = [{"idx": [1, 2, 3], "val": 1}]
     path = tmp_path / "broken_mc.json"
@@ -176,7 +181,7 @@ def test_exit_code_one_on_failing_check(lsa3_file, tmp_path):
 
 
 def test_exit_code_two_on_malformed(tmp_path, lsa3_file):
-    doc = json.loads(open(lsa3_file).read())
+    doc = _read_doc(lsa3_file)
     doc["mu3"] = [{"idx": [1, 2, 2], "val": 1}, {"idx": [2, 1, 2], "val": 1}]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -188,7 +193,7 @@ def test_exit_code_two_on_malformed(tmp_path, lsa3_file):
 
 
 def test_mc_solve_volume_slot(lsa3_file, tmp_path):
-    doc = json.loads(open(lsa3_file).read())
+    doc = _read_doc(lsa3_file)
     doc["K"] = [{"idx": [1, 2, 3], "val": "?"}]
     path = tmp_path / "solve.json"
     path.write_text(json.dumps(doc))
@@ -202,7 +207,7 @@ def test_twist_and_bialgebroid_and_double(lsa3_file, tmp_path):
     r = run_cli("--file", lsa3_file, "--quiet", "twist")
     assert r.returncode == 0
     gamma_block = json.loads(r.stdout)["dual_structure"]
-    doc = json.loads(open(lsa3_file).read())
+    doc = _read_doc(lsa3_file)
     doc["gamma"] = gamma_block
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(doc))
@@ -216,7 +221,7 @@ def test_twist_and_bialgebroid_and_double(lsa3_file, tmp_path):
 
 
 def test_dirac_strict_canonical_halves(lsa3_file, tmp_path):
-    doc = json.loads(open(lsa3_file).read())
+    doc = _read_doc(lsa3_file)
     ident = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
     doc["subbundles"] = {
         "A": {"basis1": ident[:3], "basis2": ident[:3]},
@@ -239,7 +244,7 @@ def test_check_filter(lsa3_file):
 
 
 def _run_with_block(tmp_path, src_file, key, value, *command):
-    doc = json.loads(open(src_file).read())
+    doc = _read_doc(src_file)
     doc[key] = value
     path = tmp_path / "wrong_type.json"
     path.write_text(json.dumps(doc))
@@ -282,7 +287,7 @@ _IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 def test_wrong_block_type_is_a_located_error(lsa3_file, key, value, location):
     from splitlie2.sfile import StructureFileError, parse_structure_file
 
-    doc = json.loads(open(lsa3_file).read())
+    doc = _read_doc(lsa3_file)
     doc[key] = value
     with pytest.raises(StructureFileError) as err:
         parse_structure_file(json.dumps(doc))
@@ -291,7 +296,7 @@ def test_wrong_block_type_is_a_located_error(lsa3_file, key, value, location):
 
 @pytest.mark.parametrize("field,value", [("rank1", 1000000000), ("rank2", 9), ("base_dim", 99)])
 def test_oversized_chart_is_rejected_quickly(lsa3_file, tmp_path, field, value):
-    doc = json.loads(open(lsa3_file).read())
+    doc = _read_doc(lsa3_file)
     doc[field] = value
     _assert_rejected_quickly(tmp_path, doc, field)
 
@@ -312,7 +317,7 @@ def test_oversized_exponent_is_rejected_quickly(tmp_path):
 def test_huge_decimal_exponent_is_rejected_quickly(lsa3_file, tmp_path, site, located):
     # Fraction("1e5000000") builds 10**5000000 first: this used to run for
     # 79 s and end in an unlocated integer-conversion error
-    doc = json.loads(open(lsa3_file).read())
+    doc = _read_doc(lsa3_file)
     if site == "value":
         doc["mu3"][0]["val"] = "1e5000000"
     elif site == "coefficient":
@@ -335,3 +340,81 @@ def _assert_rejected_quickly(tmp_path, doc, located):
     t0 = time.perf_counter()
     assert main(["--file", str(path), "--quiet", "check-structure"]) == 2
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_json_integer_literal_over_the_conversion_limit_is_located(lsa3_file, tmp_path):
+    # json.loads raises a plain ValueError for an integer literal over 4300
+    # digits; it used to reach the generic catch in cli.main, unlocated.
+    # json.dumps cannot write such a literal, so the text is built directly.
+    from splitlie2.sfile import StructureFileError, parse_structure_file
+
+    doc = _read_doc(lsa3_file)
+    doc["mu3"][0]["val"] = "BIG"
+    text = json.dumps(doc).replace('"BIG"', "1" * 5000)
+    with pytest.raises(StructureFileError) as err:
+        parse_structure_file(text)
+    assert err.value.location == "json"
+    path = tmp_path / "big_int.json"
+    path.write_text(text)
+    r = run_cli("--file", str(path), "--quiet", "check-structure")
+    assert r.returncode == 2 and r.stderr == ""
+    assert json.loads(r.stdout)["error"].startswith("json: Exceeds the limit")
+
+
+# sha256 prefixes of format_help() at COLUMNS=80, recorded before the common
+# flags moved onto one parent parser; "" is the main parser, whose help
+# Python 3.13 lays out differently
+HELP_DIGESTS = {
+    "": "4a69ccedcf6765bf" if sys.version_info >= (3, 13) else "c520294ab0ed1824",
+    "check-structure": "ed2a940a5f1bf190", "check-morphism": "1c597d6ff10709b7",
+    "hp-verify": "fdf8845dab89e84f", "mc-check": "b54a1d9f437481c5",
+    "mc-solve": "f4a2673b2fc45f65", "twist": "b86114dfb251435e",
+    "bialgebroid-check": "79fe983ea4d8c8b8", "double": "6c3054a64bd3cb55",
+    "lwx-check": "a7d411212109412d", "manin-extract": "05da58eef0c57b4d",
+    "dirac-check": "a3913995176e25f6", "example": "cac8495a76d7f9a2",
+}
+_COMMON = {"check": "all", "count": 100, "file": None, "json": False, "max_degree": 6,
+           "quiet": False, "seed": 0}
+# (argv, namespace minus the defaults above), recorded with the digests
+NAMESPACES = [
+    (["check-structure"], {"command": "check-structure", "fn": "cmd_check_structure"}),
+    (["--file", "a.json", "check-structure", "--quiet"],
+     {"command": "check-structure", "fn": "cmd_check_structure", "file": "a.json",
+      "quiet": True}),
+    (["--seed", "3", "hp-verify", "--count", "5", "--max-degree", "4"],
+     {"command": "hp-verify", "fn": "cmd_hp_verify", "seed": 3, "count": 5, "max_degree": 4}),
+    (["hp-verify", "--seed", "7"], {"command": "hp-verify", "fn": "cmd_hp_verify", "seed": 7}),
+    (["--check", "x", "dirac-check", "--strict", "--file", "f"],
+     {"command": "dirac-check", "fn": "cmd_dirac_check", "check": "x", "file": "f",
+      "graph": False, "strict": True, "weak": False}),
+    (["dirac-check", "--weak", "--graph"],
+     {"command": "dirac-check", "fn": "cmd_dirac_check", "graph": True, "strict": False,
+      "weak": True}),
+    (["example", "show", "lsa3", "--json"],
+     {"command": "example", "fn": "cmd_example", "action": "show", "name": "lsa3",
+      "json": True}),
+    (["--quiet", "--json", "lwx-check"],
+     {"command": "lwx-check", "fn": "cmd_lwx_check", "json": True, "quiet": True}),
+    (["--count", "1", "mc-solve", "--count", "2"],
+     {"command": "mc-solve", "fn": "cmd_mc_solve", "count": 2}),
+    (["example", "list"],
+     {"command": "example", "fn": "cmd_example", "action": "list", "name": None}),
+]
+
+
+def test_parser_help_and_namespaces_are_pinned(monkeypatch):
+    import argparse
+
+    from splitlie2.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {"": ap.format_help()}
+    helps.update((name, p.format_help()) for name, p in sub.choices.items())
+    assert {k: hashlib.sha256(v.encode()).hexdigest()[:16] for k, v in helps.items()} \
+        == HELP_DIGESTS
+    for argv, changed in NAMESPACES:
+        ns = vars(ap.parse_args(argv))
+        ns["fn"] = ns["fn"].__name__
+        assert ns == {**_COMMON, **changed}, argv

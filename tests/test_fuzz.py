@@ -5,8 +5,9 @@ The JSON of each non-abelian builtin is mutated with a fixed-seed stdlib
 the double is added as a subbundle first) is replaced, or a top-level
 block is added, with values of the wrong type or an oversized or
 undefined rational.  Each case goes through ``cli.main`` in-process.  The
-property: no exception escapes, the exit code is 0, 1 or 2, every exit-2
-report carries an ``error`` field, and no case hangs.
+property: no exception escapes, the exit code is 0, 1 or 2, exit 2 happens
+exactly when ``parse_structure_file`` raises ``StructureFileError`` on the
+file, every exit-2 report carries an ``error`` field, and no case hangs.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import time
 import pytest
 
 from splitlie2.cli import main
+from splitlie2.sfile import StructureFileError, parse_structure_file
 
 NAMES = ("lsa3", "string_sl2", "crossed_sl2", "semidirect_poly")
 COMMANDS = (
@@ -93,6 +95,12 @@ def test_mutated_builtins_never_crash(tmp_path):
         took = time.perf_counter() - t0
         assert code in (0, 1, 2), where
         assert took < CASE_SECONDS, where
+        try:
+            parse_structure_file(text)
+            malformed = False
+        except StructureFileError:
+            malformed = True
+        assert (code == 2) == malformed, where
         if code == 2:
             assert json.loads(out).get("error"), where
         codes.add(code)

@@ -14,6 +14,7 @@ from splitlie2.gradedpoly import (
     ChartMismatchError,
     Poly,
     mono_from_sequence,
+    mono_mul,
     p_,
     th_dn,
     th_up,
@@ -155,3 +156,40 @@ def test_zero_poly_on_another_chart_still_raises():
                lambda: Poly.zero(CH) + z, lambda: Poly.zero(CH) - z):
         with pytest.raises(ChartMismatchError):
             op()
+
+
+def _mul_signed_product(f, g):
+    """Poly.__mul__ as it multiplied the sign into each coefficient product."""
+    terms = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            s, m = mono_mul(m1, m2)
+            if s == 0:
+                continue
+            c = terms.get(m, 0) + s * c1 * c2
+            if c == 0:
+                terms.pop(m, None)
+            else:
+                terms[m] = c
+    return terms
+
+
+def test_mul_matches_signed_product_on_random_pairs():
+    from randpoly import random_homogeneous
+
+    rng = random.Random(31)
+    negative = 0
+    for _ in range(600):
+        ch = Chart(rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 3))
+        a = random_homogeneous(rng, ch, rng.randint(0, 4))
+        b = random_homogeneous(rng, ch, rng.randint(0, 4))
+        if rng.random() < 0.4:
+            a = a * Fraction(rng.randint(-5, 5), rng.randint(2, 7))
+        if rng.random() < 0.4:
+            b = b * Fraction(rng.randint(1, 5), rng.randint(2, 7))
+        for u, v in ((a, b), (b, a), (a, a)):
+            got, want = (u * v).terms, _mul_signed_product(u, v)
+            assert got == want
+            assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+            negative += any(mono_mul(m1, m2)[0] < 0 for m1 in u.terms for m2 in v.terms)
+    assert negative > 100
