@@ -115,22 +115,23 @@ class Calculus:
         _require_cochain(phi)
         return poisson_bracket(self.alg.mu031, phi)
 
-    # Lie derivatives; sections are coefficient vectors over the frames
+    # Lie derivatives along embedded sections: x, y = section1(chart, xv),
+    # m = section2(chart, mv); the caller embeds a section once and reuses it
     def lie0(self, phi):
         _require_cochain(phi)
         return self.alg.b1(phi)
 
-    def lie1(self, xv, phi):
+    def lie1(self, x: Poly, phi):
         _require_cochain(phi)
-        return self.alg.b2(section1(self.chart, xv), phi)
+        return self.alg.b2(x, phi)
 
-    def lie2(self, mv, phi):
+    def lie2(self, m: Poly, phi):
         _require_cochain(phi)
-        return self.alg.b2(section2(self.chart, mv), phi)
+        return self.alg.b2(m, phi)
 
-    def lie3(self, xv, yv, phi):
+    def lie3(self, x: Poly, y: Poly, phi):
         _require_cochain(phi)
-        return self.alg.b3(section1(self.chart, xv), section1(self.chart, yv), phi)
+        return self.alg.b3(x, y, phi)
 
     def iota(self, xv, mv, phi):
         """Slot contraction with the section (xv, mv)."""
@@ -150,19 +151,21 @@ class Calculus:
 
 
 def lie_derivative(s: Lie2Structure, which: str, args, phi: Poly) -> Poly:
-    """Dispatch for the four Lie derivatives: L0, L1, L2, L3."""
+    """Dispatch for the four Lie derivatives: L0, L1, L2, L3, along
+    sections given as coefficient vectors over the frames."""
     c = Calculus(s)
+    ch = s.chart
     if which == "L0":
         return c.lie0(phi)
     if which == "L1":
         (xv,) = args
-        return c.lie1(xv, phi)
+        return c.lie1(section1(ch, xv), phi)
     if which == "L2":
         (mv,) = args
-        return c.lie2(mv, phi)
+        return c.lie2(section2(ch, mv), phi)
     if which == "L3":
         xv, yv = args
-        return c.lie3(xv, yv, phi)
+        return c.lie3(section1(ch, xv), section1(ch, yv), phi)
     raise ValueError(f"unknown Lie derivative {which!r}")
 
 
@@ -229,8 +232,20 @@ def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> Ch
     ch = s.chart
     r1, r2, n = ch.rank1, ch.rank2, ch.base_dim
     rng = random.Random(seed)
-    e = lambda i: basis_vector(ch, r1, i)
-    f = lambda j: basis_vector(ch, r2, j)
+    # frame vectors, and the sections the Lie derivatives run along, built once
+    e = [basis_vector(ch, r1, i) for i in range(r1)]
+    f = [basis_vector(ch, r2, j) for j in range(r2)]
+    se = [section1(ch, v) for v in e]
+    sf = [section2(ch, v) for v in f]
+    # function-linearity rules, f running over 1 and the coordinates
+    fns = [Poly.const(ch, 1)] + [x_(ch, m + 1) for m in range(n)]
+    fse = [[fn * x for x in se] for fn in fns]  # the sections f e_i
+    fsf = [[fn * m for m in sf] for fn in fns]
+    l11 = [[c.ops.l2_11(e[i], e[j]) for j in range(r1)] for i in range(r1)]
+    l12 = [[c.ops.l2_12(e[i], f[j]) for j in range(r2)] for i in range(r1)]
+    s11 = [[section1(ch, v) for v in row] for row in l11]
+    s12 = [[section2(ch, v) for v in row] for row in l12]
+    sd = [section1(ch, c.ops.l1(f[j])) for j in range(r2)]
 
     # square-zero on all low-degree monomial cochains
     for t, phi in enumerate(monomial_cochains(ch, max_degree=5)):
@@ -273,62 +288,58 @@ def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> Ch
             rep.add(
                 f"cartan.L1[{t},{i + 1}]",
                 "L1_x phi = i_x d phi + d i_x phi",
-                c.lie1(e(i), phi) - (c.iota(e(i), None, c.d(phi)) + c.d(c.iota(e(i), None, phi))),
+                c.lie1(se[i], phi) - (c.iota(e[i], None, c.d(phi)) + c.d(c.iota(e[i], None, phi))),
             )
             rep.add(
                 f"lie.L1.derivation[{t},{i + 1}]",
                 "L1_x (phi psi) = (L1_x phi) psi + phi (L1_x psi)",
-                c.lie1(e(i), phi * psi)
-                - (c.lie1(e(i), phi) * psi + phi * c.lie1(e(i), psi)),
+                c.lie1(se[i], phi * psi)
+                - (c.lie1(se[i], phi) * psi + phi * c.lie1(se[i], psi)),
             )
             j2 = (i + 1) % r1
             rep.add(
                 f"lie.L3.derivation[{t},{i + 1}]",
                 "L3_(x,y) (phi psi) = (L3 phi) psi + (-1)^k phi (L3 psi)",
-                c.lie3(e(i), e(j2), phi * psi)
-                - (c.lie3(e(i), e(j2), phi) * psi + sgn * (phi * c.lie3(e(i), e(j2), psi))),
+                c.lie3(se[i], se[j2], phi * psi)
+                - (c.lie3(se[i], se[j2], phi) * psi + sgn * (phi * c.lie3(se[i], se[j2], psi))),
             )
         for j in range(r2):
             rep.add(
                 f"cartan.L2[{t},{j + 1}]",
                 "L2_m phi = i_m d phi - d i_m phi",
-                c.lie2(f(j), phi) - (c.iota(None, f(j), c.d(phi)) - c.d(c.iota(None, f(j), phi))),
+                c.lie2(sf[j], phi) - (c.iota(None, f[j], c.d(phi)) - c.d(c.iota(None, f[j], phi))),
             )
             rep.add(
                 f"lie.L2.derivation[{t},{j + 1}]",
                 "L2_m (phi psi) = (L2_m phi) psi + (-1)^k phi (L2_m psi)",
-                c.lie2(f(j), phi * psi)
-                - (c.lie2(f(j), phi) * psi + sgn * (phi * c.lie2(f(j), psi))),
+                c.lie2(sf[j], phi * psi)
+                - (c.lie2(sf[j], phi) * psi + sgn * (phi * c.lie2(sf[j], psi))),
             )
-        # function-linearity rules, f running over 1 and the coordinates
-        fns = [Poly.const(ch, 1)] + [x_(ch, m + 1) for m in range(n)]
         for fi, fn in enumerate(fns):
             for i in range(r1):
                 rep.add(
                     f"lie.L1.fun[{t},{fi},{i + 1}]",
                     "L1_x (f phi) = f L1_x phi + a(x)(f) phi",
-                    c.lie1(e(i), fn * phi)
-                    - (fn * c.lie1(e(i), phi) + c.ops.anchor(e(i), fn) * phi),
+                    c.lie1(se[i], fn * phi)
+                    - (fn * c.lie1(se[i], phi) + c.ops.anchor(e[i], fn) * phi),
                 )
-                fe = [fn if q == i else Poly.zero(ch) for q in range(r1)]
                 rep.add(
                     f"lie.L1.fsec[{t},{fi},{i + 1}]",
                     "L1_(f x) phi = f L1_x phi + d f * i_x phi",
-                    c.lie1(fe, phi)
-                    - (fn * c.lie1(e(i), phi) + c.d(fn) * c.iota(e(i), None, phi)),
+                    c.lie1(fse[fi][i], phi)
+                    - (fn * c.lie1(se[i], phi) + c.d(fn) * c.iota(e[i], None, phi)),
                 )
             for j in range(r2):
                 rep.add(
                     f"lie.L2.fun[{t},{fi},{j + 1}]",
                     "L2_m (f phi) = f L2_m phi",
-                    c.lie2(f(j), fn * phi) - fn * c.lie2(f(j), phi),
+                    c.lie2(sf[j], fn * phi) - fn * c.lie2(sf[j], phi),
                 )
-                fm = [fn if q == j else Poly.zero(ch) for q in range(r2)]
                 rep.add(
                     f"lie.L2.fsec[{t},{fi},{j + 1}]",
                     "L2_(f m) phi = f L2_m phi - d f * i_m phi",
-                    c.lie2(fm, phi)
-                    - (fn * c.lie2(f(j), phi) - c.d(fn) * c.iota(None, f(j), phi)),
+                    c.lie2(fsf[fi][j], phi)
+                    - (fn * c.lie2(sf[j], phi) - c.d(fn) * c.iota(None, f[j], phi)),
                 )
     # mixed commutator identities on frame sections and random cochains
     for t in range(min(cochain_count, 12)):
@@ -337,11 +348,11 @@ def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> Ch
         for i in range(r1):
             for j in range(r1):
                 lhs = (
-                    c.lie1(c.ops.l2_11(e(i), e(j)), phi)
-                    - c.lie1(e(i), c.lie1(e(j), phi))
-                    + c.lie1(e(j), c.lie1(e(i), phi))
+                    c.lie1(s11[i][j], phi)
+                    - c.lie1(se[i], c.lie1(se[j], phi))
+                    + c.lie1(se[j], c.lie1(se[i], phi))
                 )
-                rhs = -c.lie3(e(i), e(j), c.lie0(phi)) - c.lie0(c.lie3(e(i), e(j), phi))
+                rhs = -c.lie3(se[i], se[j], c.lie0(phi)) - c.lie0(c.lie3(se[i], se[j], phi))
                 rep.add(
                     f"lie.commutator11[{t},{i + 1},{j + 1}]",
                     "L1_(l2(x,y)) - [L1_x, L1_y] = -L3_(x,y) L0 - L0 L3_(x,y)",
@@ -350,40 +361,42 @@ def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> Ch
         for i in range(r1):
             for j in range(r2):
                 lhs = (
-                    c.lie2(c.ops.l2_12(e(i), f(j)), phi)
-                    - c.lie1(e(i), c.lie2(f(j), phi))
-                    + c.lie2(f(j), c.lie1(e(i), phi))
+                    c.lie2(s12[i][j], phi)
+                    - c.lie1(se[i], c.lie2(sf[j], phi))
+                    + c.lie2(sf[j], c.lie1(se[i], phi))
                 )
-                rhs = -c.lie3(c.ops.l1(f(j)), e(i), phi)
+                rhs = -c.lie3(sd[j], se[i], phi)
                 rep.add(
                     f"lie.commutator12[{t},{i + 1},{j + 1}]",
                     "L2_(l2(x,m)) - [L1_x, L2_m] = -L3_(d m, x)",
                     lhs - rhs,
                 )
     # contraction identities on dual frame sections
+    alphas = [one_form(ch, a1=[1 if q == a else 0 for q in range(r1)]) for a in range(r1)]
+    betas = [one_form(ch, a2=[1 if q == b else 0 for q in range(r2)]) for b in range(r2)]
+    d_alphas = [c.d(alpha) for alpha in alphas]
+    d_betas = [c.d(beta) for beta in betas]
     for i in range(r1):
         for j in range(r1):
-            for a in range(r1):
-                alpha = one_form(ch, a1=[1 if q == a else 0 for q in range(r1)])
+            for a, (alpha, d_alpha) in enumerate(zip(alphas, d_alphas)):
                 lhs = (
-                    c.iota(c.ops.l2_11(e(i), e(j)), None, c.d(alpha))
-                    - c.lie1(e(i), c.iota(e(j), None, c.d(alpha)))
-                    + c.iota(e(j), None, c.lie1(e(i), c.d(alpha)))
+                    c.iota(l11[i][j], None, d_alpha)
+                    - c.lie1(se[i], c.iota(e[j], None, d_alpha))
+                    + c.iota(e[j], None, c.lie1(se[i], d_alpha))
                 )
-                rhs = -c.lie3(e(i), e(j), c.lie0(alpha))
+                rhs = -c.lie3(se[i], se[j], c.lie0(alpha))
                 rep.add(
                     f"iota.rel1[{i + 1},{j + 1},{a + 1}]",
                     "i_(l2(x,y)) d a1 - L1_x i_y d a1 + i_y L1_x d a1 = -L3_(x,y) L0 a1",
                     lhs - rhs,
                 )
-            for b in range(r2):
-                beta = one_form(ch, a2=[1 if q == b else 0 for q in range(r2)])
+            for b, (beta, d_beta) in enumerate(zip(betas, d_betas)):
                 lhs = (
-                    c.iota(c.ops.l2_11(e(i), e(j)), None, c.d(beta))
-                    - c.lie1(e(i), c.iota(e(j), None, c.d(beta)))
-                    + c.iota(e(j), None, c.lie1(e(i), c.d(beta)))
+                    c.iota(l11[i][j], None, d_beta)
+                    - c.lie1(se[i], c.iota(e[j], None, d_beta))
+                    + c.iota(e[j], None, c.lie1(se[i], d_beta))
                 )
-                rhs = -c.lie0(c.lie3(e(i), e(j), beta))
+                rhs = -c.lie0(c.lie3(se[i], se[j], beta))
                 rep.add(
                     f"iota.rel2[{i + 1},{j + 1},{b + 1}]",
                     "i_(l2(x,y)) d a2 - L1_x i_y d a2 + i_y L1_x d a2 = -L0 L3_(x,y) a2",
@@ -391,14 +404,13 @@ def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> Ch
                 )
     for i in range(r1):
         for j in range(r2):
-            for b in range(r2):
-                beta = one_form(ch, a2=[1 if q == b else 0 for q in range(r2)])
+            for b, (beta, d_beta) in enumerate(zip(betas, d_betas)):
                 lhs = (
-                    c.iota(None, c.ops.l2_12(e(i), f(j)), c.d(beta))
-                    - c.lie1(e(i), c.iota(None, f(j), c.d(beta)))
-                    + c.iota(None, f(j), c.lie1(e(i), c.d(beta)))
+                    c.iota(None, l12[i][j], d_beta)
+                    - c.lie1(se[i], c.iota(None, f[j], d_beta))
+                    + c.iota(None, f[j], c.lie1(se[i], d_beta))
                 )
-                rhs = -c.lie3(c.ops.l1(f(j)), e(i), beta)
+                rhs = -c.lie3(sd[j], se[i], beta)
                 rep.add(
                     f"iota.rel3[{i + 1},{j + 1},{b + 1}]",
                     "i_(l2(x,m)) d a2 - L1_x i_m d a2 + i_m L1_x d a2 = -L3_(d m, x) a2",

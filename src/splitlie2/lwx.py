@@ -45,6 +45,7 @@ from .structures import (
     map_sections,
     nonzero_coords,
     pull_back,
+    transport,
     unit_frame_tables,
     vec_add,
     vec_nonzero,
@@ -271,53 +272,59 @@ def build_double(pair: BialgebroidPair, cross_check=True):
     def dual_a2(phi):
         return [c.lift(ch) for c in cochain_one_form_components(phi, TH, r1)]
 
-    e1 = lambda i: basis_vector(ch, r1, i)  # degree -1 frame of the base
-    f1 = lambda j: basis_vector(ch, r2, j)  # degree -2 frame of the base
-    ed = lambda i: basis_vector(chd, r2, i)  # dual degree -1 frame
-    fd = lambda j: basis_vector(chd, r1, j)  # dual degree -2 frame
-    th_of = lambda i: one_form(ch, a2=[1 if q == i else 0 for q in range(r2)])
-    xi_of = lambda j: one_form(ch, a1=[1 if q == j else 0 for q in range(r1)])
-    dth_of = lambda j: one_form(chd, a2=[1 if q == j else 0 for q in range(r1)])
-    dxi_of = lambda i: one_form(chd, a1=[1 if q == i else 0 for q in range(r2)])
+    e1 = [basis_vector(ch, r1, i) for i in range(r1)]  # degree -1 frame of the base
+    f1 = [basis_vector(ch, r2, j) for j in range(r2)]  # degree -2 frame of the base
+    ed = [basis_vector(chd, r2, i) for i in range(r2)]  # dual degree -1 frame
+    fd = [basis_vector(chd, r1, j) for j in range(r1)]  # dual degree -2 frame
+    # the same frames embedded, for the Lie derivatives of each half
+    se1 = [section1(ch, v) for v in e1]
+    sf1 = [section2(ch, v) for v in f1]
+    sed = [section1(chd, v) for v in ed]
+    sfd = [section2(chd, v) for v in fd]
+    # and the base frames as cochains of the dual half
+    dc1 = [_dual_cochain1(chd, v) for v in e1]
+    dc2 = [_dual_cochain2(chd, v) for v in f1]
+    th_of = [one_form(ch, a2=[1 if q == i else 0 for q in range(r2)]) for i in range(r2)]
+    xi_of = [one_form(ch, a1=[1 if q == j else 0 for q in range(r1)]) for j in range(r1)]
 
     out = LWXStructure.empty(ch)
 
     # unary map and anchor
     for m in range(d):
         if m < r2:
-            vec = [c.lift(ch) for c in ops.l1(f1(m))] + [Poly.zero(ch)] * r2
+            vec = [c.lift(ch) for c in ops.l1(f1[m])] + [Poly.zero(ch)] * r2
         else:
             j = m - r2
-            vec = [Poly.zero(ch)] * r1 + [c.lift(ch) for c in opsd.l1(fd(j))]
+            vec = [Poly.zero(ch)] * r1 + [c.lift(ch) for c in opsd.l1(fd[j])]
         out.partial[m] = vec
     for a in range(d):
         for i in range(n):
             if a < r1:
-                out.rho[a][i] = ops.anchor(e1(a), x_(ch, i + 1))
+                out.rho[a][i] = ops.anchor(e1[a], x_(ch, i + 1))
             else:
-                out.rho[a][i] = opsd.anchor(ed(a - r1), x_(ch.swapped(), i + 1)).lift(ch)
+                out.rho[a][i] = opsd.anchor(ed[a - r1], x_(ch.swapped(), i + 1)).lift(ch)
 
     # binary operation on the degree -1 frame
     for a in range(d):
         for b in range(d):
             xpart = [Poly.zero(ch)] * r1
             tpart = [Poly.zero(ch)] * r2
-            xv = e1(a) if a < r1 else None
-            av = ed(a - r1) if a >= r1 else None
-            yv = e1(b) if b < r1 else None
-            bv = ed(b - r1) if b >= r1 else None
+            xv = e1[a] if a < r1 else None
+            av = ed[a - r1] if a >= r1 else None
+            yv = e1[b] if b < r1 else None
+            bv = ed[b - r1] if b >= r1 else None
             if xv and yv:
                 xpart = vec_add(xpart, liftv(ops.l2_11(xv, yv)))
             if xv and bv is not None:
-                tpart = vec_add(tpart, th_comps(calc.lie1(xv, th_of(b - r1))))
+                tpart = vec_add(tpart, th_comps(calc.lie1(se1[a], th_of[b - r1])))
             if yv and av is not None:
-                tpart = vec_sub(tpart, th_comps(calc.lie1(yv, th_of(a - r1))))
+                tpart = vec_sub(tpart, th_comps(calc.lie1(se1[b], th_of[a - r1])))
             if av is not None and bv is not None:
                 tpart = vec_add(tpart, [c.lift(ch) for c in opsd.l2_11(av, bv)])
             if av is not None and yv:
-                xpart = vec_add(xpart, dual_a2(calcd.lie1(av, _dual_cochain1(chd, yv))))
+                xpart = vec_add(xpart, dual_a2(calcd.lie1(sed[a - r1], dc1[b])))
             if bv is not None and xv:
-                xpart = vec_sub(xpart, dual_a2(calcd.lie1(bv, _dual_cochain1(chd, xv))))
+                xpart = vec_sub(xpart, dual_a2(calcd.lie1(sed[b - r1], dc1[a])))
             out.c11[a][b] = xpart + tpart
 
     # mixed operations
@@ -325,26 +332,26 @@ def build_double(pair: BialgebroidPair, cross_check=True):
         for m in range(d):
             mpart = [Poly.zero(ch)] * r2
             xipart = [Poly.zero(ch)] * r1
-            xv = e1(a) if a < r1 else None
-            av = ed(a - r1) if a >= r1 else None
-            wv = f1(m) if m < r2 else None
-            bv = fd(m - r2) if m >= r2 else None
+            xv = e1[a] if a < r1 else None
+            av = ed[a - r1] if a >= r1 else None
+            wv = f1[m] if m < r2 else None
+            bv = fd[m - r2] if m >= r2 else None
             if xv and wv:
                 mpart = vec_add(mpart, liftv(ops.l2_12(xv, wv)))
             if xv and bv is not None:
-                xipart = vec_add(xipart, xi_comps(calc.lie1(xv, xi_of(m - r2))))
+                xipart = vec_add(xipart, xi_comps(calc.lie1(se1[a], xi_of[m - r2])))
             if wv and av is not None:
                 xipart = vec_add(
-                    xipart, xi_comps(calc.iota(None, wv, calc.d(th_of(a - r1))))
+                    xipart, xi_comps(calc.iota(None, wv, calc.d(th_of[a - r1])))
                 )
             if av is not None and bv is not None:
                 xipart = vec_add(xipart, [c.lift(ch) for c in opsd.l2_12(av, bv)])
             if av is not None and wv:
-                mpart = vec_add(mpart, dual_a1(calcd.lie1(av, _dual_cochain2(chd, wv))))
+                mpart = vec_add(mpart, dual_a1(calcd.lie1(sed[a - r1], dc2[m])))
             if bv is not None and xv:
                 mpart = vec_add(
                     mpart,
-                    dual_a1(calcd.iota(None, fd(m - r2), calcd.d(_dual_cochain1(chd, xv)))),
+                    dual_a1(calcd.iota(None, fd[m - r2], calcd.d(dc1[a]))),
                 )
             out.c12[a][m] = mpart + xipart
 
@@ -356,15 +363,15 @@ def build_double(pair: BialgebroidPair, cross_check=True):
                 xipart = vec_add(xipart, [c.lift(ch) for c in opsd.l2_21(bv, av)])
             if wv and av is not None:
                 # dual L2 along the degree -2 frame of the dual half
-                xipart = vec_add(xipart, xi_comps(calc.lie2(wv, th_of(a - r1))))
+                xipart = vec_add(xipart, xi_comps(calc.lie2(sf1[m], th_of[a - r1])))
             if bv is not None and xv:
-                xipart = vec_add(xipart, xi_comps(calc.iota(xv, None, calc.d(xi_of(m - r2)))))
+                xipart = vec_add(xipart, xi_comps(calc.iota(xv, None, calc.d(xi_of[m - r2]))))
             if xv and bv is not None:
-                mpart = vec_add(mpart, dual_a1(calcd.lie2(fd(m - r2), _dual_cochain1(chd, xv))))
+                mpart = vec_add(mpart, dual_a1(calcd.lie2(sfd[m - r2], dc1[a])))
             if av is not None and wv:
                 mpart = vec_add(
                     mpart,
-                    dual_a1(calcd.iota(ed(a - r1), None, calcd.d(_dual_cochain2(chd, wv)))),
+                    dual_a1(calcd.iota(ed[a - r1], None, calcd.d(dc2[m]))),
                 )
             out.c21[m][a] = mpart + xipart
 
@@ -374,8 +381,9 @@ def build_double(pair: BialgebroidPair, cross_check=True):
             for c in range(d):
                 mpart = [Poly.zero(ch)] * r2
                 xipart = [Poly.zero(ch)] * r1
-                xs = [e1(q) if q < r1 else None for q in (a, b, c)]
-                als = [q - r1 if q >= r1 else None for q in (a, b, c)]
+                qs = (a, b, c)
+                xs = [e1[q] if q < r1 else None for q in qs]
+                als = [q - r1 if q >= r1 else None for q in qs]
                 if all(v is not None for v in xs):
                     mpart = vec_add(mpart, liftv(ops.l3(*xs)))
                 # L3 terms: two base sections against one dual frame
@@ -383,21 +391,16 @@ def build_double(pair: BialgebroidPair, cross_check=True):
                     if xs[p] is not None and xs[q] is not None and als[rr] is not None:
                         xipart = vec_add(
                             xipart,
-                            xi_comps(calc.lie3(xs[p], xs[q], th_of(als[rr]))),
+                            xi_comps(calc.lie3(se1[qs[p]], se1[qs[q]], th_of[als[rr]])),
                         )
                     if als[p] is not None and als[q] is not None and xs[rr] is not None:
                         mpart = vec_add(
-                            mpart,
-                            dual_a1(
-                                calcd.lie3(
-                                    ed(als[p]), ed(als[q]), _dual_cochain1(chd, xs[rr])
-                                )
-                            ),
+                            mpart, dual_a1(calcd.lie3(sed[als[p]], sed[als[q]], dc1[qs[rr]]))
                         )
                 if all(v is not None for v in als):
                     xipart = vec_add(
                         xipart,
-                        [c2.lift(ch) for c2 in opsd.l3(ed(als[0]), ed(als[1]), ed(als[2]))],
+                        [c2.lift(ch) for c2 in opsd.l3(ed[als[0]], ed[als[1]], ed[als[2]])],
                     )
                 out.omega[a][b][c] = mpart + xipart
 
@@ -410,36 +413,36 @@ def build_double(pair: BialgebroidPair, cross_check=True):
     tbin = theta.project_tridegree((1, 2, 1)) + theta.project_tridegree((1, 1, 2))
     tter = theta.project_tridegree((0, 3, 1)) + theta.project_tridegree((0, 1, 3))
 
-    def basis1(a):
-        v = [Fraction(0)] * d
-        v[a] = Fraction(1)
-        return v
+    # the unit vectors of both frames, embedded once
+    units = [[Fraction(int(q == a)) for q in range(d)] for a in range(d)]
+    emb1 = [embed1(ch, v) for v in units]
+    emb2 = [embed2(ch, v) for v in units]
 
     ok = True
     detail = []
     for m in range(d):
-        got = split1(ch, derived_bracket(t211, [embed2(ch, basis1(m))]))
+        got = split1(ch, derived_bracket(t211, [emb2[m]]))
         if any(u != v for u, v in zip(got, out.partial[m])):
             ok = False
             detail.append(f"partial[{m + 1}]")
     for a in range(d):
-        ea = embed1(ch, basis1(a))
+        ea = emb1[a]
         for i in range(n):
             got = derived_bracket(tbin, [ea, x_(ch, i + 1)])
             if got != out.rho[a][i]:
                 ok = False
                 detail.append(f"rho[{a + 1},{i + 1}]")
         for b in range(d):
-            got = split1(ch, derived_bracket(tbin, [ea, embed1(ch, basis1(b))]))
+            got = split1(ch, derived_bracket(tbin, [ea, emb1[b]]))
             if any(u != v for u, v in zip(got, out.c11[a][b])):
                 ok = False
                 detail.append(f"c11[{a + 1},{b + 1}]")
         for m in range(d):
-            got = split2(ch, derived_bracket(tbin, [ea, embed2(ch, basis1(m))]))
+            got = split2(ch, derived_bracket(tbin, [ea, emb2[m]]))
             if any(u != v for u, v in zip(got, out.c12[a][m])):
                 ok = False
                 detail.append(f"c12[{a + 1},{m + 1}]")
-            got = split2(ch, derived_bracket(tbin, [embed2(ch, basis1(m)), ea]))
+            got = split2(ch, derived_bracket(tbin, [emb2[m], ea]))
             if any(u != v for u, v in zip(got, out.c21[m][a])):
                 ok = False
                 detail.append(f"c21[{m + 1},{a + 1}]")
@@ -450,7 +453,7 @@ def build_double(pair: BialgebroidPair, cross_check=True):
                     ch,
                     derived_bracket(
                         tter,
-                        [embed1(ch, basis1(a)), embed1(ch, basis1(b)), embed1(ch, basis1(c))],
+                        [emb1[a], emb1[b], emb1[c]],
                     ),
                 )
                 if any(u != v for u, v in zip(got, out.omega[a][b][c])):
@@ -458,7 +461,7 @@ def build_double(pair: BialgebroidPair, cross_check=True):
                     detail.append(f"omega[{a + 1},{b + 1},{c + 1}]")
     for a in range(d):
         for m in range(d):
-            got = poisson_bracket(embed2(ch, basis1(m)), embed1(ch, basis1(a)))
+            got = poisson_bracket(emb2[m], emb1[a])
             want = Poly.const(ch, out.pairing[a][m])
             if got != want:
                 ok = False
@@ -732,11 +735,6 @@ def _restriction(x: FrameTables, ch: Chart) -> Lie2Structure:
                          map_sections(lift, x.l3, 3))
 
 
-def restrict_to_subbundle(e: LWXStructure, sub: Subbundle) -> Lie2Structure:
-    """Structure carried by a closed maximal isotropic subbundle."""
-    return _restriction(_subbundle_tables(e, sub), e.chart)
-
-
 # -- Manin extraction -------------------------------------------------------------
 
 
@@ -744,7 +742,8 @@ def extract_bialgebroid(e: LWXStructure, sub_a: Subbundle, sub_b: Subbundle):
     """Two transversal strict halves determine a compatible pair.
 
     Returns (pair, report).  The second half is renormalized through the
-    pairing so it acts as the dual of the first.
+    pairing so it acts as the dual of the first: its restriction is carried
+    to the normalized frame by a constant frame change.
     """
     rep = CheckReport("manin-extraction")
     d = e.d1
@@ -757,7 +756,7 @@ def extract_bialgebroid(e: LWXStructure, sub_a: Subbundle, sub_b: Subbundle):
     if not (trans1 and trans2):
         raise ValueError("subbundles are not transversal")
     ra, s_a = check_strict_dirac(e, sub_a)
-    rb, _ = check_strict_dirac(e, sub_b)
+    rb, s_b = check_strict_dirac(e, sub_b)
     rep.add_flag("manin.strictA", "first half is strictly closed", ra.passed,
                  "; ".join(r.check_id for r in ra.failures[:3]))
     rep.add_flag("manin.strictB", "second half is strictly closed", rb.passed,
@@ -788,17 +787,10 @@ def extract_bialgebroid(e: LWXStructure, sub_a: Subbundle, sub_b: Subbundle):
                  inv1 is not None and inv2 is not None, "singular cross pairing")
     if inv1 is None or inv2 is None:
         raise ValueError("halves do not pair nondegenerately")
-    newb2 = [
-        [sum(inv1[j][q] * sub_b.basis2[q][y] for q in range(rb2)) for y in range(d)]
-        for j in range(rb2)
-    ]
-    newb1 = [
-        [sum(sub_b.basis1[q][y] * inv2[q][k] for q in range(rb1)) for y in range(d)]
-        for k in range(rb1)
-    ]
-    sub_b_norm = Subbundle(newb1, newb2)
-
-    s_b = restrict_to_subbundle(e, sub_b_norm)
+    # new b1_k = sum_q inv2[k][q] b1_q and new b2_j = sum_q inv1[q][j] b2_q:
+    # rows of inv2 and columns of inv1, a constant frame change inside the
+    # second half, so its restriction is carried over rather than rebuilt
+    s_b = transport(s_b, inv2, [list(col) for col in zip(*inv1)])
     if s_b.chart.rank1 != s_a.chart.rank2 or s_b.chart.rank2 != s_a.chart.rank1:
         raise ValueError("halves do not have dual ranks")
     pair = BialgebroidPair(s_a, s_b)

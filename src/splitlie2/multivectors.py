@@ -290,14 +290,43 @@ def _sgn(e: int) -> int:
     return -1 if e % 2 else 1
 
 
+def draw_below(getrandbits, n: int) -> int:
+    """rng.randrange(n) for n > 0, drawn word for word as CPython draws it.
+
+    Random._randbelow_with_getrandbits takes n.bit_length() random bits
+    until the value is below n, and randint and choice draw through it; so
+    this leaves the rng in the state randrange(n) would leave it in.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_multivector(chart: Chart, rng: random.Random, max_shifted_degree=6,
                        max_base_degree=2, terms=2):
-    """Random homogeneous multivector (never the zero degree marker)."""
-    rank = {XID: chart.kind_rank(XID), THD: chart.kind_rank(THD)}
-    if not (rank[XID] or rank[THD]):
+    """Random homogeneous multivector (never the zero degree marker).
+
+    Each term takes up to 60 turns; a turn draws a frame, xi_ (degree 2)
+    or th_ (degree 1, each index at most once) with odds 1:2, and an
+    index, and keeps the factor if it fits the degree.  The draws are
+    those of rng.randint and rng.choice, inlined as draw_below: the same
+    values and the same rng state, with fewer Python frames per draw.
+    """
+    r1, r2, n = chart.rank1, chart.rank2, chart.base_dim
+    if not (r1 or r2):
         raise ValueError(f"no multivector of positive degree on {chart}")
+    if max_shifted_degree < 1 or max_base_degree < 0:
+        rng.randint(1, max_shifted_degree)  # the interpreter's own error
+        rng.randint(0, max_base_degree)
+    if not r2 and max_shifted_degree == 1:
+        # without th_ frames every degree is even: no draw could ever finish
+        raise ValueError(f"no multivector of degree 1 on {chart}")
+    bits = rng.getrandbits
+    k1, k2 = r1.bit_length(), r2.bit_length()
     while True:
-        deg = rng.randint(1, max_shifted_degree)
+        deg = 1 + draw_below(bits, max_shifted_degree)
         acc = {}
         for _ in range(terms):
             d = 0
@@ -305,33 +334,58 @@ def random_multivector(chart: Chart, rng: random.Random, max_shifted_degree=6,
             used_thd = set()
             guard = 0
             while d < deg and guard < 60:
+                if d == deg - 1 and len(used_thd) == r2:
+                    # one degree left and no th_ index free: no turn can
+                    # finish the term, so spend the draws of the turns left
+                    for _ in range(60 - guard):
+                        c = bits(2)
+                        while c == 3:
+                            c = bits(2)
+                        if c == 0:
+                            if not r1:
+                                continue
+                            i = bits(k1)
+                            while i >= r1:
+                                i = bits(k1)
+                        if r2:
+                            i = bits(k2)
+                            while i >= r2:
+                                i = bits(k2)
+                    break
                 guard += 1
-                k = rng.choice((XID, THD, THD))
-                if not rank[k]:
+                c = bits(2)  # choice((XID, THD, THD))
+                while c == 3:
+                    c = bits(2)
+                if c == 0:
+                    if not r1:
+                        continue
+                    i = bits(k1)
+                    while i >= r1:
+                        i = bits(k1)
+                    if d + 2 <= deg:
+                        factors.append((XID, i + 1))
+                        d += 2
+                        continue
+                    # one degree left: a th_ factor instead
+                if not r2:
                     continue
-                idx = rng.randint(1, rank[k])
-                kd = 2 if k == XID else 1
-                if d + kd > deg:
-                    if deg - d == 1 and rank[THD]:
-                        k, kd = THD, 1
-                        idx = rng.randint(1, rank[THD])
-                    else:
-                        continue
-                if k == THD:
-                    if idx in used_thd:
-                        continue
-                    used_thd.add(idx)
-                factors.append((k, idx))
-                d += kd
+                i = bits(k2)
+                while i >= r2:
+                    i = bits(k2)
+                if i in used_thd:
+                    continue
+                used_thd.add(i)
+                factors.append((THD, i + 1))
+                d += 1
             if d != deg:
                 continue
-            for _ in range(rng.randint(0, max_base_degree)):
-                if chart.base_dim:
-                    factors.append((X, rng.randint(1, chart.base_dim)))
+            for _ in range(draw_below(bits, max_base_degree + 1)):
+                if n:
+                    factors.append((X, 1 + draw_below(bits, n)))
             sign, mono = mono_from_sequence(factors)
             if sign == 0:
                 continue
-            acc[mono] = acc.get(mono, 0) + sign * (rng.randint(-4, 4) or 1)
+            acc[mono] = acc.get(mono, 0) + sign * ((draw_below(bits, 9) - 4) or 1)
         p = Poly(chart, acc)
         if not p.is_zero and p.degree() == deg:
             return p

@@ -32,7 +32,7 @@ from .gradedpoly import (
     xi_dn,
     xi_up,
 )
-from .multivectors import MCElement, SAlgebra, mc_residual
+from .multivectors import MCElement, SAlgebra, mc_residual, section1, section2
 from .report import CheckReport
 from .structures import (
     GAMMA_TRIDEGREES,
@@ -209,37 +209,39 @@ def dual_structure_formulas(s: Lie2Structure, m: MCElement) -> Lie2Structure:
 
     theta = lambda i: one_form(ch, a2=[1 if q == i else 0 for q in range(r2)])
     xi = lambda j: one_form(ch, a1=[1 if q == j else 0 for q in range(r1)])
+    # the sections H#, Hn and K(a, b) the Lie derivatives run along
+    hs = [section1(ch, m.h_sharp(i)) for i in range(r2)]
+    hn = [section2(ch, m.h_nat(j)) for j in range(r1)]
+    kv = [[section2(ch, ktens[a][b]) for b in range(r2)] for a in range(r2)]
 
     for j in range(r1):
         # dual unary map: transpose of mu2
         for i in range(r2):
             out.mu2[j][i] = s.mu2[i][j].lift(out.chart)
     for i in range(r2):
-        hs_i = m.h_sharp(i)
         for mdx in range(n):
-            out.mu1[i][mdx] = ops.anchor(hs_i, x_(ch, mdx + 1)).lift(out.chart)
+            out.mu1[i][mdx] = ops.anchor(m.h_sharp(i), x_(ch, mdx + 1)).lift(out.chart)
         for j in range(r2):
-            val = calc.lie1(hs_i, theta(j)) - calc.lie1(m.h_sharp(j), theta(i))
+            val = calc.lie1(hs[i], theta(j)) - calc.lie1(hs[j], theta(i))
             out.mu3[i][j] = th_comps(val)
         for j in range(r1):
             hpair = m.h[j][i]  # H evaluated on the (i, j) dual frame pair
             val = (
-                calc.lie1(hs_i, xi(j))
-                - calc.lie2(m.h_nat(j), theta(i))
+                calc.lie1(hs[i], xi(j))
+                - calc.lie2(hn[j], theta(i))
                 - calc.d(hpair)
             )
             out.mu4[i][j] = xi_comps(val)
         for j in range(r2):
             for k in range(r2):
-                kv = lambda a, b: [ktens[a][b][q] for q in range(r2)]
                 val = (
-                    -calc.lie2(kv(i, j), theta(k))
-                    - calc.lie2(kv(k, i), theta(j))
-                    - calc.lie2(kv(j, k), theta(i))
+                    -calc.lie2(kv[i][j], theta(k))
+                    - calc.lie2(kv[k][i], theta(j))
+                    - calc.lie2(kv[j][k], theta(i))
                     - 2 * calc.d(ktens[i][j][k])
-                    + calc.lie3(m.h_sharp(i), m.h_sharp(j), theta(k))
-                    + calc.lie3(m.h_sharp(j), m.h_sharp(k), theta(i))
-                    + calc.lie3(m.h_sharp(k), m.h_sharp(i), theta(j))
+                    + calc.lie3(hs[i], hs[j], theta(k))
+                    + calc.lie3(hs[j], hs[k], theta(i))
+                    + calc.lie3(hs[k], hs[i], theta(j))
                 )
                 out.mu5[i][j][k] = xi_comps(val)
     return out

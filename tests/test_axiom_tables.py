@@ -24,9 +24,9 @@ from splitlie2.lwx import (
     build_double,
     check_lwx_axioms,
     check_strict_dirac,
+    extract_bialgebroid,
     hyperbolic_pairing,
     lwx_transport,
-    restrict_to_subbundle,
 )
 from splitlie2.randomsuite import _random_invertible, structure_suite
 from splitlie2.report import CheckReport
@@ -109,7 +109,7 @@ def _assert_same_dirac(e, sub):
         assert new[1] == old[1]
     else:
         assert new[1].equals(old[1])
-        assert new[1].equals(restrict_to_subbundle(e, sub))
+        assert new[1].equals(oracle.restrict_to_subbundle(e, sub))
     return new
 
 
@@ -137,6 +137,44 @@ def test_lwx_suites_and_pullbacks_match_oracle_on_doubles(name, twisted):
     moved = lwx_transport(e, t1, t2)
     assert moved.equals(oracle.lwx_transport(e, t1, t2))
     assert not moved.equals(e)
+
+
+def _matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+@pytest.mark.parametrize("name,twisted", DOUBLES)
+def test_extracted_dual_half_matches_oracle_restriction(name, twisted):
+    """extract_bialgebroid carries the restriction of the second half to the
+    normalized frame by a frame change; the oracle restricts to the
+    normalized basis afresh.  The second half comes in a scrambled frame,
+    so the normalization is neither the identity nor symmetric."""
+    e = _double(name, twisted, cross_check=False)
+    d = e.d1
+    rng = random.Random(name)
+    sub_a = Subbundle.canonical_half(e.chart)
+    dual = Subbundle.canonical_dual_half(e.chart)
+    sub_b = Subbundle(_matmul(_random_invertible(rng, len(dual.basis1)), dual.basis1),
+                      _matmul(_random_invertible(rng, len(dual.basis2)), dual.basis2))
+    pair, rep = extract_bialgebroid(e, sub_a, sub_b)
+    assert rep.passed
+
+    def gram(us, ws):
+        return [[sum(u[x] * e.pairing[x][y] * w[y] for x in range(d) for y in range(d))
+                 for w in ws] for u in us]
+
+    inv1 = invert(gram(sub_a.basis1, sub_b.basis2))
+    inv2 = invert(gram(sub_b.basis1, sub_a.basis2))
+    normalized = Subbundle(_matmul(inv2, sub_b.basis1),
+                           _matmul([list(col) for col in zip(*inv1)], sub_b.basis2))
+    unit = lambda r: [[int(i == j) for j in range(r)] for i in range(r)]
+    assert gram(sub_a.basis1, normalized.basis2) == unit(len(sub_a.basis1))
+    assert gram(normalized.basis1, sub_a.basis2) == unit(len(sub_a.basis2))
+    assert pair.dual.equals(oracle.restrict_to_subbundle(e, normalized))
+    assert pair.s.equals(oracle.restrict_to_subbundle(e, sub_a))
+    # the normalized frame of the canonical dual half is that half's own frame
+    assert pair.dual.equals(oracle.restrict_to_subbundle(e, dual))
 
 
 def _bump(e, table, index, k, sign=1):

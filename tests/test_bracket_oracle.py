@@ -10,7 +10,7 @@ from randpoly import random_homogeneous
 from splitlie2.bracket import poisson_bracket
 from splitlie2.builtin import builtin_example, example_names
 from splitlie2.gradedpoly import TH, UNK, X, XID, Chart, Poly, th_dn, x_, xi_dn
-from splitlie2.multivectors import random_multivector
+from splitlie2.multivectors import draw_below, random_multivector
 from splitlie2.structures import encode_mu
 
 EVEN_KINDS = (X, TH, XID, UNK)
@@ -91,17 +91,56 @@ def test_coefficient_defaults_to_int_zero():
     assert c == 0 and type(c) is int
 
 
+# Charts beyond the builtins: rank2 = 0 (odd degrees get stuck one short),
+# rank1 = 0, and base coordinates with rank2 in {0, 1}.
+SAMPLER_CHARTS = [Chart(0, 2, 0), Chart(3, 1, 0), Chart(0, 0, 1), Chart(2, 0, 2),
+                  Chart(1, 3, 1), Chart(2, 1, 1)]
+# (max_shifted_degree, max_base_degree, terms); a degree bound of 1 would
+# never finish on a chart without th_ frames, for either sampler
+SAMPLER_PARAMS = [(6, 2, 2), (3, 0, 1), (9, 4, 3), (2, 1, 2)]
+
+
 def test_random_multivector_keeps_its_draw_sequence():
-    for name in example_names():
-        ch = builtin_example(name)["structure"].chart
-        for seed in (0, 1):
-            new, old = random.Random(seed), random.Random(seed)
-            for _ in range(50):
-                got = random_multivector(ch, new, 6)
-                assert got.terms == oracle.random_multivector(ch, old, 6).terms
-            assert new.random() == old.random()
+    charts = [builtin_example(name)["structure"].chart for name in example_names()]
+    for ch in charts + SAMPLER_CHARTS:
+        for params in SAMPLER_PARAMS:
+            for seed in range(20):
+                new, old = random.Random(seed), random.Random(seed)
+                for _ in range(6):
+                    got = random_multivector(ch, new, *params)
+                    assert got.terms == oracle.random_multivector(ch, old, *params).terms
+                    assert new.getstate() == old.getstate()
+
+
+def test_draw_below_mirrors_randrange_and_choice():
+    """draw_below repeats CPython's own draws, value and state."""
+    for seed in range(4):
+        for n in range(1, 71):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert draw_below(ours.getrandbits, n) == ref.randrange(n)
+                assert ours.getstate() == ref.getstate()
+                assert draw_below(ours.getrandbits, n) == ref.choice(range(n))
+                assert ours.getstate() == ref.getstate()
+
+
+def test_random_multivector_keeps_the_interpreter_errors():
+    ch = Chart(0, 2, 1)
+    for msd, mbd in ((0, 2), (6, -1)):
+        with pytest.raises(ValueError) as ours:
+            random_multivector(ch, random.Random(0), msd, mbd)
+        with pytest.raises(ValueError) as ref:
+            oracle.random_multivector(ch, random.Random(0), msd, mbd)
+        assert str(ours.value) == str(ref.value)
 
 
 def test_random_multivector_refuses_a_chart_without_fibers():
     with pytest.raises(ValueError):
         random_multivector(Chart(2, 0, 0), random.Random(0))
+
+
+def test_random_multivector_refuses_an_unreachable_degree_bound():
+    # only even degrees exist without th_ frames; the oracle never returns here
+    with pytest.raises(ValueError):
+        random_multivector(Chart(1, 2, 0), random.Random(0), 1)
+    assert random_multivector(Chart(1, 2, 0), random.Random(0), 2).degree() == 2

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from splitlie2.builtin import builtin_example, lsa3, string_sl2
+from splitlie2.bracket import derived_bracket
+from splitlie2.builtin import builtin_example, example_names, lsa3, string_sl2
 from splitlie2.cochains import (
     Calculus,
     CochainError,
@@ -9,9 +12,11 @@ from splitlie2.cochains import (
     lie_derivative,
     monomial_cochains,
     one_form,
+    random_cochain,
     verify_calculus_identities,
 )
 from splitlie2.gradedpoly import Chart, Poly, x_, xi_dn
+from splitlie2.multivectors import random_base_poly, section1, section2
 from splitlie2.structures import Lie2Structure, basis_vector
 
 
@@ -67,11 +72,11 @@ def test_lsa3_dual_action_encoded_by_lie_derivative():
     s = lsa3()["structure"]
     c = Calculus(s)
     ch = s.chart
-    e1 = basis_vector(ch, 3, 0)
+    e1 = section1(ch, basis_vector(ch, 3, 0))
     th = lambda i: one_form(ch, a2=[1 if q == i else 0 for q in range(3)])
     assert c.lie1(e1, th(0)) == 2 * th(0)
     assert c.lie1(e1, th(1)) == th(1)
-    assert c.lie1(basis_vector(ch, 3, 1), th(2)) == th(0)
+    assert c.lie1(section1(ch, basis_vector(ch, 3, 1)), th(2)) == th(0)
 
 
 def test_contraction_alternating_signs():
@@ -134,5 +139,36 @@ def test_string_triple_derivative_nonzero():
     c = Calculus(s)
     ch = s.chart
     th = one_form(ch, a2=[1])
-    val = c.lie3(basis_vector(ch, 3, 0), basis_vector(ch, 3, 1), th)
+    val = c.lie3(section1(ch, basis_vector(ch, 3, 0)), section1(ch, basis_vector(ch, 3, 1)), th)
     assert not val.is_zero
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_lie_derivatives_on_embedded_sections_equal_derived_brackets(name):
+    """lie1/lie2/lie3 on sections embedded once, with the memo shared across
+    calls, equal fresh derived brackets of section1/section2, and
+    lie_derivative embeds its coefficient vectors the same way."""
+    s = builtin_example(name)["structure"]
+    ch = s.chart
+    c = Calculus(s)
+    rng = random.Random(name)
+    xvs = [basis_vector(ch, ch.rank1, i) for i in range(ch.rank1)]
+    xvs += [[random_base_poly(ch, rng) for _ in range(ch.rank1)] for _ in range(2)]
+    mvs = [basis_vector(ch, ch.rank2, j) for j in range(ch.rank2)]
+    mvs += [[random_base_poly(ch, rng) for _ in range(ch.rank2)] for _ in range(2)]
+    xs = [section1(ch, v) for v in xvs]
+    ms = [section2(ch, v) for v in mvs]
+    for _ in range(4):
+        phi = random_cochain(ch, rng)
+        for x, xv in zip(xs, xvs):
+            want = derived_bracket(c.alg.mu121, [section1(ch, xv), phi])
+            assert c.lie1(x, phi) == want
+            assert lie_derivative(s, "L1", [xv], phi) == want
+            y, yv = xs[-1], xvs[-1]
+            want = derived_bracket(c.alg.mu031, [section1(ch, xv), section1(ch, yv), phi])
+            assert c.lie3(x, y, phi) == want
+            assert lie_derivative(s, "L3", [xv, yv], phi) == want
+        for m, mv in zip(ms, mvs):
+            want = derived_bracket(c.alg.mu121, [section2(ch, mv), phi])
+            assert c.lie2(m, phi) == want
+            assert lie_derivative(s, "L2", [mv], phi) == want

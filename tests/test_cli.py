@@ -109,6 +109,11 @@ GOLDEN_DIGESTS = {
         "1:45a7e8ba63aa431438a6f931dd4734f672de748211ecb900622f8eb2c3eb8a26",
     "hp-verify --count 20 perturbed[21]":
         "1:8bb53c93dc9df5a34f5919832f49a78192daa10c10b41a62fe24311f4c5311d4",
+    # a failing rank2 = 1 entry (base_dim 1): its residuals depend on every
+    # multivector drawn, so the bytes pin the draws of terms that cannot
+    # be finished; recorded with the randint/choice sampler
+    "hp-verify --count 20 perturbed[17]":
+        "1:a446fc1ef349a1e17b4fb1ae9696593b6065484b2f656b75024e5db3a551901e",
 }
 
 
@@ -155,6 +160,9 @@ def golden_report_digests(workdir):
         out[f"check-structure perturbed[{t}]"] = _cli_digest("--file", path, "check-structure")
         out[f"hp-verify --count 20 perturbed[{t}]"] = _cli_digest(
             "--file", path, "--count", "20", "hp-verify")
+    path = write("perturbed17", suite[17][0])
+    out["hp-verify --count 20 perturbed[17]"] = _cli_digest(
+        "--file", path, "--count", "20", "hp-verify")
     return out
 
 
@@ -418,3 +426,14 @@ def test_parser_help_and_namespaces_are_pinned(monkeypatch):
         ns = vars(ap.parse_args(argv))
         ns["fn"] = ns["fn"].__name__
         assert ns == {**_COMMON, **changed}, argv
+
+
+def test_hp_verify_with_an_unreachable_degree_bound_exits_two(tmp_path, capsys):
+    # without th_ frames every multivector has even degree; --max-degree 1
+    # used to keep the sampler drawing for ever
+    from splitlie2.cli import main
+
+    path = tmp_path / "even.json"
+    path.write_text(json.dumps({"format_version": 1, "base_dim": 0, "rank1": 2, "rank2": 0}))
+    assert main(["--file", str(path), "--quiet", "--max-degree", "1", "hp-verify"]) == 2
+    assert "degree 1" in json.loads(capsys.readouterr().out)["error"]
