@@ -311,7 +311,7 @@ def random_multivector(chart: Chart, rng: random.Random, max_shifted_degree=6,
     Each term takes up to 60 turns; a turn draws a frame, xi_ (degree 2)
     or th_ (degree 1, each index at most once) with odds 1:2, and an
     index, and keeps the factor if it fits the degree.  The draws are
-    those of rng.randint and rng.choice, inlined as draw_below: the same
+    those of rng.randint and rng.choice, made by draw_below: the same
     values and the same rng state, with fewer Python frames per draw.
     """
     r1, r2, n = chart.rank1, chart.rank2, chart.base_dim
@@ -324,7 +324,6 @@ def random_multivector(chart: Chart, rng: random.Random, max_shifted_degree=6,
         # without th_ frames every degree is even: no draw could ever finish
         raise ValueError(f"no multivector of degree 1 on {chart}")
     bits = rng.getrandbits
-    k1, k2 = r1.bit_length(), r2.bit_length()
     while True:
         deg = 1 + draw_below(bits, max_shifted_degree)
         acc = {}
@@ -334,34 +333,11 @@ def random_multivector(chart: Chart, rng: random.Random, max_shifted_degree=6,
             used_thd = set()
             guard = 0
             while d < deg and guard < 60:
-                if d == deg - 1 and len(used_thd) == r2:
-                    # one degree left and no th_ index free: no turn can
-                    # finish the term, so spend the draws of the turns left
-                    for _ in range(60 - guard):
-                        c = bits(2)
-                        while c == 3:
-                            c = bits(2)
-                        if c == 0:
-                            if not r1:
-                                continue
-                            i = bits(k1)
-                            while i >= r1:
-                                i = bits(k1)
-                        if r2:
-                            i = bits(k2)
-                            while i >= r2:
-                                i = bits(k2)
-                    break
                 guard += 1
-                c = bits(2)  # choice((XID, THD, THD))
-                while c == 3:
-                    c = bits(2)
-                if c == 0:
+                if draw_below(bits, 3) == 0:  # choice((XID, THD, THD))
                     if not r1:
                         continue
-                    i = bits(k1)
-                    while i >= r1:
-                        i = bits(k1)
+                    i = draw_below(bits, r1)
                     if d + 2 <= deg:
                         factors.append((XID, i + 1))
                         d += 2
@@ -369,9 +345,7 @@ def random_multivector(chart: Chart, rng: random.Random, max_shifted_degree=6,
                     # one degree left: a th_ factor instead
                 if not r2:
                     continue
-                i = bits(k2)
-                while i >= r2:
-                    i = bits(k2)
+                i = draw_below(bits, r2)
                 if i in used_thd:
                     continue
                 used_thd.add(i)

@@ -219,8 +219,9 @@ def dual_structure_formulas(s: Lie2Structure, m: MCElement) -> Lie2Structure:
         for i in range(r2):
             out.mu2[j][i] = s.mu2[i][j].lift(out.chart)
     for i in range(r2):
+        hs_i = m.h_sharp(i)
         for mdx in range(n):
-            out.mu1[i][mdx] = ops.anchor(m.h_sharp(i), x_(ch, mdx + 1)).lift(out.chart)
+            out.mu1[i][mdx] = ops.anchor(hs_i, x_(ch, mdx + 1)).lift(out.chart)
         for j in range(r2):
             val = calc.lie1(hs[i], theta(j)) - calc.lie1(hs[j], theta(i))
             out.mu3[i][j] = th_comps(val)
