@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .gradedpoly import Poly
 
@@ -87,11 +89,63 @@ class CheckReport:
             "summary": self.summary(),
         }
 
-    def to_json(self, indent=2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
 
 def digest(obj) -> str:
     """Stable short digest of any JSON-serializable input description."""
     blob = json.dumps(obj, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _json_default(o):
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+@functools.cache
+def _level(depth):
+    """(C encoder, item separator, closing indent) of a container at this
+    depth.  The encoder is for a container that holds only scalars: its
+    item separator carries the newline and the indent of its items."""
+    sep = ",\n" + "  " * (depth + 1)
+    enc = c_make_encoder(None, _json_default, encode_basestring_ascii, None,
+                         ": ", sep, False, False, True)
+    return enc, sep, "\n" + "  " * depth
+
+
+def _key_text(k):
+    if not isinstance(k, str):
+        if not (k is None or isinstance(k, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {k.__class__.__name__}")
+        k = "".join(_level(0)[0](k, 0))
+    return encode_basestring_ascii(k)
+
+
+def _render(o, depth):
+    enc, sep, close = _level(depth)
+    if not isinstance(o, _CONTAINERS):
+        return "".join(enc(o, 0))
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    for v in (o.values() if isinstance(o, dict) else o):
+        if isinstance(v, _CONTAINERS):
+            break
+    else:
+        text = "".join(enc(o, 0))
+        return f"{text[0]}{sep[1:]}{text[1:-1]}{close}{text[-1]}"
+    if isinstance(o, dict):
+        body = sep.join([f"{_key_text(k)}: {_render(v, depth + 1)}" for k, v in o.items()])
+        return f"{{{sep[1:]}{body}{close}}}"
+    body = sep.join([_render(v, depth + 1) for v in o])
+    return f"[{sep[1:]}{body}{close}]"
+
+
+def render_json(obj) -> str:
+    """Exactly json.dumps(obj, indent=2) for an acyclic obj.  With an indent,
+    json.dumps runs its pure-Python encoder; here each container that holds
+    only scalars goes through the C encoder in one call."""
+    if c_make_encoder is None:
+        return json.dumps(obj, indent=2)
+    return _render(obj, 0)

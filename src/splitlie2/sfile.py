@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .gradedpoly import Chart, Poly, X
 from .multivectors import MCElement
+from .report import render_json
 from .structures import Lie2Structure, MorphismData
 from .lwx import LWXStructure, Subbundle, hyperbolic_pairing
 
@@ -24,6 +25,7 @@ FORMAT_VERSION = 1
 MAX_RANK = 8  # rank1, rank2 of every structure block
 MAX_BASE_DIM = 8
 MAX_EXPONENT = 32  # per base variable, in polynomial values
+MAX_TERMS = 256  # exponent vectors in one polynomial value
 MAX_DIGITS = 4300  # decimal digits of a rational's numerator or denominator
 
 
@@ -80,7 +82,11 @@ def _parse_value(chart: Chart, v, where: str, allow_unknown=False):
     if isinstance(v, str):
         return Poly.const(chart, _rational(v, where))
     if isinstance(v, dict):
-        acc = Poly.zero(chart)
+        if len(v) > MAX_TERMS:
+            raise StructureFileError(
+                where, f"polynomial value has {len(v)} terms, over the limit {MAX_TERMS}"
+            )
+        terms = {}
         for exps, coeff in v.items():
             try:
                 parts = [int(p) for p in str(exps).split(",")] if str(exps).strip() else []
@@ -94,12 +100,9 @@ def _parse_value(chart: Chart, v, where: str, allow_unknown=False):
                 raise StructureFileError(
                     where, f"exponent vector {exps!r} exceeds the limit {MAX_EXPONENT}"
                 )
-            mono = Poly.const(chart, _rational(coeff, where))
-            for i, p in enumerate(parts):
-                for _ in range(p):
-                    mono = mono * Poly.var(chart, X, i + 1)
-            acc = acc + mono
-        return acc
+            mono = tuple((X, i + 1, p) for i, p in enumerate(parts) if p)
+            terms[mono] = terms.get(mono, 0) + _rational(coeff, where)
+        return Poly(chart, terms)  # drops the zero sums
     raise StructureFileError(where, f"unsupported value {v!r}")
 
 
@@ -408,7 +411,8 @@ def parse_structure_file(text: str) -> StructureFile:
     return sf
 
 
-def render_structure(s: Lie2Structure, extra=None) -> str:
+def structure_block(s: Lie2Structure, extra=None) -> dict:
+    """The file document of a structure, with extra blocks appended."""
     ch = s.chart
     doc = {
         "format_version": FORMAT_VERSION,
@@ -426,7 +430,11 @@ def render_structure(s: Lie2Structure, extra=None) -> str:
             del doc[name]
     if extra:
         doc.update(extra)
-    return json.dumps(doc, indent=2, sort_keys=False)
+    return doc
+
+
+def render_structure(s: Lie2Structure, extra=None) -> str:
+    return render_json(structure_block(s, extra))
 
 
 def dual_block(dual: Lie2Structure):

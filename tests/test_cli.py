@@ -166,6 +166,122 @@ def golden_report_digests(workdir):
     return out
 
 
+# Exit code and sha256 of the raw stdout, with the timestamp line removed,
+# recorded with json.dumps(indent=2) as the printer.  GOLDEN_DIGESTS hashes
+# parsed bodies and cannot see indentation, separators or key order.
+RAW_DIGESTS = {
+    "example run-all":
+        "0:539a77faad886a9a5255733dcb37813b811b4c872ca10c778944658a925afaf8",
+    "example list":
+        "0:80467c71609e16e388f00d9169545a44038cb9ce5a3250a5f86889f9000e5b56",
+    "example show lsa3":
+        "0:363b31ab563aec21c21d946f504e5331ec268443496157be697e34bcdb24cc2c",
+    "check-structure perturbed[11]":
+        "1:370f8359967105c94cafd66a70b440fdde2b27f44170202f945204a05e4c9acc",
+    "hp-verify --count 20 perturbed[17]":
+        "1:511439dfe41d72235457212f5cb7e85b7643f352fd0f168c0ebafc0782932042",
+    "twist lsa3":
+        "0:db251fc1f3e25364826e14befe249d64122a2a89d9bd1249c2b589200cf3c7aa",
+    "manin-extract lsa3":
+        "0:559195cf39c6b23d532531c9a6955c67f828f7f46e343144512333ba212fe3ca",
+    "manin-extract lsa3+gamma":
+        "0:0b792c4ce90e08bcc2d55a2845540fac6afe2bb4ae03ebd82ab9b59130a27892",
+    "check-structure mu2=-1":
+        "2:f5e1ec2758bc44ec47dcc5c6e1b71245ae31c43a6c1c1e9baaf2ac986f3e12b8",
+}
+
+
+def _raw_digest(*argv):
+    from splitlie2.cli import main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["--quiet", *argv])
+    kept = [line for line in buf.getvalue().splitlines(keepends=True)
+            if not line.startswith('  "timestamp": ')]
+    return f"{code}:{hashlib.sha256(''.join(kept).encode()).hexdigest()}"
+
+
+def raw_report_digests(workdir, lsa3_file):
+    """Raw-stdout digest of every printer case, keyed by a readable label."""
+    from splitlie2.randomsuite import structure_suite
+    from splitlie2.sfile import render_structure
+
+    def write(label, text):
+        path = os.path.join(str(workdir), f"{label}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return path
+
+    suite = structure_suite(22, seed=3)
+    p11 = write("perturbed11", render_structure(suite[11][0]))
+    p17 = write("perturbed17", render_structure(suite[17][0]))
+    doc = _read_doc(lsa3_file)
+    twist_out = io.StringIO()
+    with contextlib.redirect_stdout(twist_out):
+        from splitlie2.cli import main
+
+        main(["--quiet", "--file", lsa3_file, "twist"])
+    doc["gamma"] = json.loads(twist_out.getvalue())["dual_structure"]
+    pair = write("lsa3_pair", json.dumps(doc))
+    doc = _read_doc(lsa3_file)
+    doc["mu2"] = -1
+    bad = write("bad", json.dumps(doc))
+    return {
+        "example run-all": _raw_digest("example", "run-all"),
+        "example list": _raw_digest("example", "list"),
+        "example show lsa3": _raw_digest("example", "show", "lsa3"),
+        "check-structure perturbed[11]": _raw_digest("--file", p11, "check-structure"),
+        "hp-verify --count 20 perturbed[17]":
+            _raw_digest("--file", p17, "--count", "20", "hp-verify"),
+        "twist lsa3": _raw_digest("--file", lsa3_file, "twist"),
+        "manin-extract lsa3": _raw_digest("--file", lsa3_file, "manin-extract"),
+        "manin-extract lsa3+gamma": _raw_digest("--file", pair, "manin-extract"),
+        "check-structure mu2=-1": _raw_digest("--file", bad, "check-structure"),
+    }
+
+
+def test_raw_report_bytes_are_pinned(lsa3_file, tmp_path):
+    assert raw_report_digests(tmp_path, lsa3_file) == RAW_DIGESTS
+
+
+def _nest(leaf, depth):
+    for i in range(depth):
+        leaf = {"k": leaf} if i % 2 else [leaf]
+    return leaf
+
+
+PRINTER_CASES = [
+    *[_nest(empty, d) for empty in ({}, []) for d in range(5)],
+    [{}, [], {"a": []}, [[], {}]],
+    {"a": {"b": {}}, "c": [[], [{}]], "d": 1},
+    "café ✓ \U0001d11e", ["\n\t\r\x00\x1f\x7f \"\\ /", {"é\n": "\x08"}],
+    {"é": ["é"], "line\nbreak": {"x": "tab\there"}},
+    [True, False, None], {"t": True, "f": False, "n": None},
+    [-1, 0, -(10 ** 300), 10 ** 4000], {"neg": -7, "big": [2 ** 200, {"b": -2 ** 64}]},
+    {1: "int", 2.5: "float", True: "bool", None: "none", -3: [1], 0: {1: 2}},
+    [1.5, -0.0, 1e300, float("inf"), float("nan")], {"f": [0.1, {"g": 2.5e-10}]},
+    ("tuple", ("nested", ()), {"t": (1, 2)}),
+    [[[1, 2], [3]], {"x": [[4]]}],
+    {"reports": [{"title": "t", "meta": {}, "checks": [{"id": "a", "passed": True}],
+                  "summary": {"total": 1}}]},
+]
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+def test_printer_matches_json_dumps_indent_2(monkeypatch, c_encoder):
+    from splitlie2 import report
+
+    if not c_encoder:
+        monkeypatch.setattr(report, "c_make_encoder", None)
+    for obj in PRINTER_CASES:
+        assert report.render_json(obj) == json.dumps(obj, indent=2), obj
+    with pytest.raises(TypeError):
+        report.render_json({"a": [object()]})
+    with pytest.raises(TypeError):
+        report.render_json({(1, 2): [1]})
+
+
 def test_determinism_modulo_timestamp(lsa3_file, tmp_path):
     a = json.loads(run_cli("--file", lsa3_file, "--quiet", "check-structure").stdout)
     b = json.loads(run_cli("--file", lsa3_file, "--quiet", "check-structure").stdout)
@@ -437,3 +553,49 @@ def test_hp_verify_with_an_unreachable_degree_bound_exits_two(tmp_path, capsys):
     path.write_text(json.dumps({"format_version": 1, "base_dim": 0, "rank1": 2, "rank2": 0}))
     assert main(["--file", str(path), "--quiet", "--max-degree", "1", "hp-verify"]) == 2
     assert "degree 1" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_reused_parser_gives_the_namespaces_and_exits_of_fresh_ones(lsa3_file, tmp_path):
+    import argparse
+
+    from splitlie2 import cli
+
+    doc = _read_doc(lsa3_file)
+    ident = [[int(i == j) for j in range(6)] for i in range(6)]
+    doc["subbundles"] = {"A": {"basis1": ident[:3], "basis2": ident[:3]}}
+    dirac = tmp_path / "dirac.json"
+    dirac.write_text(json.dumps(doc))
+    sequence = [
+        ["--file", lsa3_file, "--quiet", "check-structure"],
+        ["check-structure", "--file", lsa3_file, "--check", "nilpotency", "--quiet"],
+        ["--file", str(dirac), "dirac-check", "--strict", "--quiet"],
+        ["--quiet", "dirac-check", "--file", lsa3_file, "--weak", "--graph"],
+        ["dirac-check", "--strict", "--weak"],  # argparse exits: the flags exclude each other
+        ["--seed", "2", "--file", lsa3_file, "hp-verify", "--count", "3", "--quiet"],
+        ["--quiet", "example", "list"],
+    ]
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+        kept = [line for line in out.getvalue().splitlines()
+                if not line.startswith('  "timestamp": ')]
+        return code, kept, err.getvalue()
+
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    cli._parser.cache_clear()
+    reused = [run(argv) for argv in sequence]
+    assert cli._parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 0, 0, "exit 2", 0, 0]
+    ap = cli._parser()
+    for argv in sequence[:4] + sequence[5:] + [a for a, _ in NAMESPACES]:
+        assert vars(ap.parse_args(argv)) == vars(cli.build_parser().parse_args(argv)), argv
+    assert isinstance(ap, argparse.ArgumentParser) and ap is cli._parser()

@@ -27,7 +27,7 @@ from splitlie2.structures import (
 def test_builtin_structures_valid(name):
     s = builtin_example(name)["structure"]
     assert check_lie2_axioms(s).passed
-    assert mu_nilpotency_report(s).passed
+    assert mu_nilpotency_report(encode_mu(s)).passed
 
 
 def test_lsa3_tensors_from_multiplication_table():
@@ -97,7 +97,7 @@ def test_alternating_ternary_injection_fails_chain_axiom():
     failing = {r.check_id.split("[")[0] for r in rep.failures}
     assert failing & {"leibniz2.d", "leibniz2.f"}
     # both verdicts agree that it broke
-    assert not mu_nilpotency_report(s).passed
+    assert not mu_nilpotency_report(encode_mu(s)).passed
 
 
 def test_perturbed_axiom_residual_matches_hand_expansion():
