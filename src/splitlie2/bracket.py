@@ -124,6 +124,20 @@ def derived_bracket(generator: Poly, args) -> Poly:
     return -r
 
 
+def derived_table(generator: Poly, *frames):
+    """Nested table T[i][j]... = -{...{{generator, frames[0][i]}, frames[1][j]}...}.
+
+    Each prefix bracket is taken once and shared by every entry below it;
+    a zero prefix is not bracketed further, since {0, a} = 0.
+    """
+    if not frames:
+        return -generator
+    head, rest = frames[0], frames[1:]
+    if not generator.terms:
+        return [derived_table(generator, *rest) for _ in head]
+    return [derived_table(poisson_bracket(generator, a), *rest) for a in head]
+
+
 def nilpotency_check(q: Poly):
     """Check {q, q} = 0 for a degree-4 function.
 

@@ -1,14 +1,16 @@
 """Command-line front end: exact checks in, JSON verdicts out.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 malformed
-input.  Reports are deterministic for fixed inputs apart from the
-timestamp field.
+input, 141 stdout closed before the report was written (the shell's status
+after SIGPIPE; not a verdict).  Reports are deterministic for fixed inputs
+apart from the timestamp field.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 
@@ -62,6 +64,7 @@ from .twisting import (
 )
 
 SCHEMA_VERSION = "1"
+EXIT_STDOUT_CLOSED = 141  # the shell's status for a process ended by SIGPIPE
 
 
 def _emit(args, command, reports, extra=None, input_text=None):
@@ -393,10 +396,19 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except ValueError as exc:  # StructureFileError and ChartMismatchError among them
-        print(render_json({"error": str(exc), "exit": 2}))
-        return 2
+        try:
+            code = args.fn(args)
+        except ValueError as exc:  # StructureFileError and ChartMismatchError among them
+            print(render_json({"error": str(exc), "exit": 2}))
+            code = 2
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # send what is still buffered to devnull, so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
+    return code
 
 
 if __name__ == "__main__":

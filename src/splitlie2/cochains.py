@@ -142,13 +142,6 @@ class Calculus:
             comp[TH] = mv
         return contract(phi, comp)
 
-    def evaluate(self, phi, sections):
-        """phi(X1, ..., Xk) by iterated contraction, first section first."""
-        out = phi
-        for xv, mv in sections:
-            out = self.iota(xv, mv, out)
-        return out
-
 
 def lie_derivative(s: Lie2Structure, which: str, args, phi: Poly) -> Poly:
     """Dispatch for the four Lie derivatives: L0, L1, L2, L3, along

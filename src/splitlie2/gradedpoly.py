@@ -330,9 +330,6 @@ class Poly:
             return INHOMOGENEOUS
         return tds.pop()
 
-    def is_homogeneous(self) -> bool:
-        return self.degree() != INHOMOGENEOUS
-
     def project_tridegree(self, t) -> "Poly":
         t = tuple(t)
         return Poly(self.chart, {m: c for m, c in self.terms.items() if mono_tridegree(m) == t})

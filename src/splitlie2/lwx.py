@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bracket import derived_bracket, poisson_bracket
+from .bracket import derived_table, poisson_bracket
 from .cochains import Calculus, one_form
 from .gradedpoly import (
     TH,
@@ -407,8 +407,21 @@ def build_double(pair: BialgebroidPair, cross_check=True):
     if not cross_check:
         return out, rep
 
-    # route (b): derived brackets of the combined generating function
-    theta = pair.theta
+    detail = derived_mismatches(pair.theta, out)
+    rep.add_flag(
+        "double.crosscheck",
+        "componentwise and derived-bracket constructions agree",
+        not detail,
+        ", ".join(detail[:8]),
+    )
+    return out, rep
+
+
+def derived_mismatches(theta: Poly, out: LWXStructure):
+    """Route (b): the names of the entries of out that differ from the
+    derived brackets of the combined generating function theta."""
+    ch = out.chart
+    n, d = ch.base_dim, out.d1
     t211 = theta.project_tridegree((2, 1, 1))
     tbin = theta.project_tridegree((1, 2, 1)) + theta.project_tridegree((1, 1, 2))
     tter = theta.project_tridegree((0, 3, 1)) + theta.project_tridegree((0, 1, 3))
@@ -417,62 +430,28 @@ def build_double(pair: BialgebroidPair, cross_check=True):
     units = [[Fraction(int(q == a)) for q in range(d)] for a in range(d)]
     emb1 = [embed1(ch, v) for v in units]
     emb2 = [embed2(ch, v) for v in units]
+    unary = derived_table(t211, emb2)
+    rows = derived_table(tbin, emb1, [x_(ch, i + 1) for i in range(n)] + emb1 + emb2)
+    c21 = derived_table(tbin, emb2, emb1)
+    ternary = derived_table(tter, emb1, emb1, emb1)
 
-    ok = True
-    detail = []
-    for m in range(d):
-        got = split1(ch, derived_bracket(t211, [emb2[m]]))
-        if any(u != v for u, v in zip(got, out.partial[m])):
-            ok = False
-            detail.append(f"partial[{m + 1}]")
+    detail = [f"partial[{m + 1}]" for m in range(d) if split1(ch, unary[m]) != out.partial[m]]
     for a in range(d):
-        ea = emb1[a]
-        for i in range(n):
-            got = derived_bracket(tbin, [ea, x_(ch, i + 1)])
-            if got != out.rho[a][i]:
-                ok = False
-                detail.append(f"rho[{a + 1},{i + 1}]")
-        for b in range(d):
-            got = split1(ch, derived_bracket(tbin, [ea, emb1[b]]))
-            if any(u != v for u, v in zip(got, out.c11[a][b])):
-                ok = False
-                detail.append(f"c11[{a + 1},{b + 1}]")
+        row = rows[a]
+        detail += [f"rho[{a + 1},{i + 1}]" for i in range(n) if row[i] != out.rho[a][i]]
+        detail += [f"c11[{a + 1},{b + 1}]" for b in range(d)
+                   if split1(ch, row[n + b]) != out.c11[a][b]]
         for m in range(d):
-            got = split2(ch, derived_bracket(tbin, [ea, emb2[m]]))
-            if any(u != v for u, v in zip(got, out.c12[a][m])):
-                ok = False
+            if split2(ch, row[n + d + m]) != out.c12[a][m]:
                 detail.append(f"c12[{a + 1},{m + 1}]")
-            got = split2(ch, derived_bracket(tbin, [emb2[m], ea]))
-            if any(u != v for u, v in zip(got, out.c21[m][a])):
-                ok = False
+            if split2(ch, c21[m][a]) != out.c21[m][a]:
                 detail.append(f"c21[{m + 1},{a + 1}]")
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                got = split2(
-                    ch,
-                    derived_bracket(
-                        tter,
-                        [emb1[a], emb1[b], emb1[c]],
-                    ),
-                )
-                if any(u != v for u, v in zip(got, out.omega[a][b][c])):
-                    ok = False
-                    detail.append(f"omega[{a + 1},{b + 1},{c + 1}]")
-    for a in range(d):
-        for m in range(d):
-            got = poisson_bracket(emb2[m], emb1[a])
-            want = Poly.const(ch, out.pairing[a][m])
-            if got != want:
-                ok = False
-                detail.append(f"pairing[{a + 1},{m + 1}]")
-    rep.add_flag(
-        "double.crosscheck",
-        "componentwise and derived-bracket constructions agree",
-        ok,
-        ", ".join(detail[:8]),
-    )
-    return out, rep
+    detail += [f"omega[{a + 1},{b + 1},{c + 1}]"
+               for a in range(d) for b in range(d) for c in range(d)
+               if split2(ch, ternary[a][b][c]) != out.omega[a][b][c]]
+    detail += [f"pairing[{a + 1},{m + 1}]" for a in range(d) for m in range(d)
+               if poisson_bracket(emb2[m], emb1[a]) != Poly.const(ch, out.pairing[a][m])]
+    return detail
 
 
 # -- axioms ------------------------------------------------------------------

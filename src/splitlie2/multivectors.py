@@ -222,9 +222,6 @@ class MCElement:
                 )
         return out
 
-    def m_poly(self) -> Poly:
-        return self.h_poly() + self.k_poly()
-
     def k_tensor(self):
         """Full alternating tensor k[i][j][l] (0-based)."""
         r2 = self.chart.rank2

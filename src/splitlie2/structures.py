@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bracket import derived_bracket, nilpotency_check
+from .bracket import derived_table, nilpotency_check
 from .gradedpoly import (
     P,
     THD,
@@ -74,10 +74,6 @@ def _tensor(chart, shape, data, name):
         return [build(dims[1:], sub) for sub in node]
 
     return build(list(shape), data)
-
-
-def zero_tensor(chart, shape):
-    return _tensor(chart, shape, None, "zero")
 
 
 def tensor_entries(t, shape):
@@ -507,34 +503,42 @@ def decode_mu(mu: Poly, chart: Chart) -> Lie2Structure:
             w = sum(e for k, _, e in m if k in (P, XID, THD))
             if w != 1:
                 raise ValueError("generating function must be fiberwise linear")
-    n, r1, r2 = chart.base_dim, chart.rank1, chart.rank2
-    mu211 = mu.project_tridegree((2, 1, 1))
-    mu121 = mu.project_tridegree((1, 2, 1))
-    mu031 = mu.project_tridegree((0, 3, 1))
-    s = Lie2Structure.zero(chart)
-    for j in range(r2):
-        val = derived_bracket(mu211, [th_dn(chart, j + 1)])
-        s.mu2[j] = _components_to_list(val, XID, r1)
-    for j in range(r1):
-        for i in range(n):
-            s.mu1[j][i] = derived_bracket(mu121, [xi_dn(chart, j + 1), x_(chart, i + 1)])
-    for i in range(r1):
-        for j in range(r1):
-            val = derived_bracket(mu121, [xi_dn(chart, i + 1), xi_dn(chart, j + 1)])
-            s.mu3[i][j] = _components_to_list(val, XID, r1)
-    for i in range(r1):
-        for j in range(r2):
-            val = derived_bracket(mu121, [xi_dn(chart, i + 1), th_dn(chart, j + 1)])
-            s.mu4[i][j] = _components_to_list(val, THD, r2)
-    for i in range(r1):
-        for j in range(r1):
-            for k in range(r1):
-                val = derived_bracket(
-                    mu031,
-                    [xi_dn(chart, i + 1), xi_dn(chart, j + 1), xi_dn(chart, k + 1)],
-                )
-                s.mu5[i][j][k] = _components_to_list(val, THD, r2)
-    return s
+    return decode_frames(
+        [mu.project_tridegree(t) for t in MU_TRIDEGREES],
+        [xi_dn(chart, i + 1) for i in range(chart.rank1)],
+        [th_dn(chart, j + 1) for j in range(chart.rank2)],
+        [x_(chart, i + 1) for i in range(chart.base_dim)],
+        (XID, THD),
+        chart,
+    )
+
+
+def decode_frames(parts, frame1, frame2, coords, kinds, out_chart) -> Lie2Structure:
+    """Structure tensors as derived brackets of a generating function.
+
+    parts are its unary, binary and ternary graded parts; frame1 and frame2
+    the momenta of the degree -1 and degree -2 frames, and coords the base
+    coordinates.  A degree -1 output is linear in kinds[0], a degree -2
+    output in kinds[1]; every entry is read on out_chart.  The binary
+    tensors share each prefix {binary part, frame1[i]}.
+    """
+    unary, binary, ternary = parts
+    n, r1, r2 = len(coords), len(frame1), len(frame2)
+    k1, k2 = kinds
+
+    def vec(p, kind, rank):
+        return [c.lift(out_chart) for c in _components_to_list(p, kind, rank)]
+
+    rows = derived_table(binary, frame1, coords + frame1 + frame2)
+    return Lie2Structure(
+        out_chart,
+        [[p.lift(out_chart) for p in row[:n]] for row in rows],
+        [vec(p, k1, r1) for p in derived_table(unary, frame2)],
+        [[vec(p, k1, r1) for p in row[n:n + r1]] for row in rows],
+        [[vec(p, k2, r2) for p in row[n + r1:]] for row in rows],
+        [[[vec(p, k2, r2) for p in row] for row in plane]
+         for plane in derived_table(ternary, frame1, frame1, frame1)],
+    )
 
 
 # -- direct axiom checking ----------------------------------------------------

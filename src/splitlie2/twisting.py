@@ -38,8 +38,8 @@ from .structures import (
     GAMMA_TRIDEGREES,
     Lie2Ops,
     Lie2Structure,
-    _components_to_list,
     check_lie2_axioms,
+    decode_frames,
 )
 
 _DUAL_MOMENTA = (P, XI, TH)
@@ -80,42 +80,14 @@ def decode_gamma(gamma: Poly, chart: Chart) -> Lie2Structure:
     the original degree -2 slot) and degree -2 frame of size rank1.
     """
     validate_gamma(gamma)
-    out_chart = chart.swapped()
-    n, r1, r2 = chart.base_dim, chart.rank1, chart.rank2
-    g211 = gamma.project_tridegree((2, 1, 1))
-    g112 = gamma.project_tridegree((1, 1, 2))
-    g013 = gamma.project_tridegree((0, 1, 3))
-    s = Lie2Structure.zero(out_chart)
-
-    def tr(p: Poly, kind, rank):
-        comps = _components_to_list(p, kind, rank)
-        return [c.lift(out_chart) for c in comps]
-
-    for j in range(r1):
-        val = derived_bracket(g211, [xi_up(chart, j + 1)])
-        s.mu2[j] = tr(val, TH, r2)
-    for j in range(r2):
-        for i in range(n):
-            s.mu1[j][i] = derived_bracket(
-                g112, [th_up(chart, j + 1), x_(chart, i + 1)]
-            ).lift(out_chart)
-    for i in range(r2):
-        for j in range(r2):
-            val = derived_bracket(g112, [th_up(chart, i + 1), th_up(chart, j + 1)])
-            s.mu3[i][j] = tr(val, TH, r2)
-    for i in range(r2):
-        for j in range(r1):
-            val = derived_bracket(g112, [th_up(chart, i + 1), xi_up(chart, j + 1)])
-            s.mu4[i][j] = tr(val, XI, r1)
-    for i in range(r2):
-        for j in range(r2):
-            for k in range(r2):
-                val = derived_bracket(
-                    g013,
-                    [th_up(chart, i + 1), th_up(chart, j + 1), th_up(chart, k + 1)],
-                )
-                s.mu5[i][j][k] = tr(val, XI, r1)
-    return s
+    return decode_frames(
+        [gamma.project_tridegree(t) for t in GAMMA_TRIDEGREES],
+        [th_up(chart, j + 1) for j in range(chart.rank2)],
+        [xi_up(chart, i + 1) for i in range(chart.rank1)],
+        [x_(chart, i + 1) for i in range(chart.base_dim)],
+        (TH, XI),
+        chart.swapped(),
+    )
 
 
 def encode_gamma(dual: Lie2Structure, chart: Chart) -> Poly:

@@ -599,3 +599,20 @@ def test_reused_parser_gives_the_namespaces_and_exits_of_fresh_ones(lsa3_file, t
     for argv in sequence[:4] + sequence[5:] + [a for a, _ in NAMESPACES]:
         assert vars(ap.parse_args(argv)) == vars(cli.build_parser().parse_args(argv)), argv
     assert isinstance(ap, argparse.ArgumentParser) and ap is cli._parser()
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    """A reader that stops after one line (as `| head -n 1` does) closes the
+    pipe; the report is far larger than a pipe buffer, so the writer sees it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err, subprocess.Popen(
+        [sys.executable, "-m", "splitlie2.cli", "example", "run-all"],
+        stdout=subprocess.PIPE, stderr=err, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=300)
+    assert code == 141
+    assert err_path.read_bytes() == b""
