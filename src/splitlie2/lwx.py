@@ -50,7 +50,6 @@ from .structures import (
     vec_add,
     vec_nonzero,
     vec_sub,
-    vecstr,
 )
 from .twisting import (
     BialgebroidPair,
@@ -501,7 +500,7 @@ def check_lwx_axioms(e: LWXStructure) -> CheckReport:
                 rep.add(
                     f"lwx.ii[{a + 1},{m + 1},f{fi}]",
                     "e1 * e2 - e2 * e1 = D S(e1, e2)",
-                    vecstr(vec_sub(lhs, rhs)),
+                    vec_sub(lhs, rhs),
                 )
     # (iii) the unary map is self-adjoint
     for m1 in range(d):
@@ -577,14 +576,14 @@ def check_lwx_axioms(e: LWXStructure) -> CheckReport:
         df = ops.dmap(f)
         nonzero = vec_nonzero(df)
         rep.add(f"lwx.partial-D[f{fi}]", "partial(D f) = 0",
-                vecstr(ops.l1(df) if nonzero else zero_vec))
+                ops.l1(df) if nonzero else zero_vec)
         for a in range(d):
             lhs = ops.l2_12(u[a], df) if nonzero else zero_vec
             rhs = dmap(pair(u[a], df))
             rep.add(f"lwx.e-Df[{a + 1},f{fi}]", "e * D f = D S(e, D f)",
-                    vecstr(vec_sub(lhs, rhs)))
+                    vec_sub(lhs, rhs))
             rep.add(f"lwx.Df-e[{a + 1},f{fi}]", "D f * e = 0",
-                    vecstr(ops.l2_21(df, u[a]) if nonzero else zero_vec))
+                    ops.l2_21(df, u[a]) if nonzero else zero_vec)
     return rep
 
 

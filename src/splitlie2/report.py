@@ -6,6 +6,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .gradedpoly import Poly
@@ -13,18 +14,21 @@ from .gradedpoly import Poly
 ENGINE_CONVENTION = "pair-signs {p,x}=-1 {xi_,xi^}=-1 {th_,th^}=+1"
 
 
-def render_residual(value) -> str | None:
-    """Canonical text of a residual; None when it vanishes."""
+def render_residual(value, scale=1) -> str | None:
+    """Canonical text of a residual, each nonzero polynomial in it
+    multiplied by scale first; None when it vanishes."""
     if value is None:
         return None
     if isinstance(value, Poly):
-        return None if value.is_zero else value.render()
+        if value.is_zero:
+            return None
+        return (value if scale == 1 else value * scale).render()
     if isinstance(value, (list, tuple)):
         parts = []
         for i, v in enumerate(value):
             if isinstance(v, Poly):
                 if not v.is_zero:
-                    parts.append(f"[{i + 1}] {v.render()}")
+                    parts.append(f"[{i + 1}] {(v if scale == 1 else v * scale).render()}")
             elif v:
                 parts.append(f"[{i + 1}] {v}")
         return "; ".join(parts) if parts else None
@@ -47,9 +51,14 @@ class CheckRecord:
 
 @dataclass
 class CheckReport:
+    """Records in order.  `add` renders each residual times `scale`: a check
+    that runs on tensors scaled by d sets it to 1/d^2 while it adds its
+    quadratic residuals (see structures.check_lie2_axioms)."""
+
     title: str
     records: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    scale: int | Fraction = 1
 
     @property
     def passed(self) -> bool:
@@ -60,7 +69,7 @@ class CheckReport:
         return [r for r in self.records if not r.passed]
 
     def add(self, check_id: str, law: str, residual) -> bool:
-        text = render_residual(residual)
+        text = render_residual(residual, self.scale)
         ok = text is None
         self.records.append(CheckRecord(check_id, law, ok, text))
         return ok

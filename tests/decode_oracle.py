@@ -7,8 +7,10 @@ of ``splitlie2.structures`` and ``splitlie2.twisting`` before they shared
 one table; ``crosscheck`` is route (b) of ``splitlie2.lwx.build_double``
 before it read its four tables, and returns the flag verdict and the full
 list of mismatching entry names.  ``test_derived_table.py`` compares them
-with the package.  This module is test-only; the package keeps one
-implementation.
+with the package.  ``check_bialgebroid`` is the bialgebroid check of
+``splitlie2.twisting`` from before its derivation loops took each unary
+image once; ``test_twisting.py`` compares its records with the package.
+This module is test-only; the package keeps one implementation.
 """
 
 from fractions import Fraction
@@ -28,8 +30,10 @@ from splitlie2.gradedpoly import (
     xi_up,
 )
 from splitlie2.lwx import embed1, embed2, split1, split2
+from splitlie2.multivectors import SAlgebra
+from splitlie2.report import CheckReport
 from splitlie2.structures import Lie2Structure, _components_to_list
-from splitlie2.twisting import validate_gamma
+from splitlie2.twisting import BialgebroidPair, validate_gamma
 
 
 def decode_mu(mu: Poly, chart: Chart) -> Lie2Structure:
@@ -169,3 +173,72 @@ def crosscheck(pair, out):
                 ok = False
                 detail.append(f"pairing[{a + 1},{m + 1}]")
     return ok, detail
+
+
+def check_bialgebroid(pair: BialgebroidPair, derivation_checks=True) -> CheckReport:
+    """Nilpotency of the combined function, plus the derivation criterion,
+    with every unary image bracketed again for each index pair."""
+    rep = CheckReport("bialgebroid")
+    combined = poisson_bracket(pair.theta, pair.theta)
+    rep.add("bi.nilpotency", "{mu + gamma - shared, same} = 0", combined)
+    for td, part in combined.tridegree_components().items():
+        rep.add(f"bi.component{list(td)}", f"component {td}", part)
+    if not derivation_checks:
+        return rep
+
+    s, ch = pair.s, pair.chart
+    alg = SAlgebra(s)
+    gamma = pair.gamma
+    g112 = gamma.project_tridegree((1, 1, 2))
+
+    def delta_star(p: Poly) -> Poly:
+        return poisson_bracket(gamma, p)
+
+    def delta(p: Poly) -> Poly:
+        return poisson_bracket(alg.mu, p)
+
+    def b2_dual(a: Poly, b: Poly) -> Poly:
+        return derived_bracket(g112, [a, b])
+
+    sections = [(xi_dn(ch, i + 1), 2) for i in range(ch.rank1)] + [
+        (th_dn(ch, j + 1), 1) for j in range(ch.rank2)
+    ]
+    for i, (xp, dx) in enumerate(sections):
+        for j, (yp, dy) in enumerate(sections):
+            lhs = delta_star(alg.b2(xp, yp))
+            rhs = -alg.b2(delta_star(xp), yp) + (-1 if dx % 2 else 1) * alg.b2(
+                xp, delta_star(yp)
+            )
+            rep.add(
+                f"bi.derivation1[{i + 1},{j + 1}]",
+                "delta*[X,Y] = -[delta* X, Y] + (-1)^|X| [X, delta* Y]",
+                lhs - rhs,
+            )
+    duals = [(xi_up(ch, i + 1), 1) for i in range(ch.rank1)] + [
+        (th_up(ch, j + 1), 2) for j in range(ch.rank2)
+    ]
+    for i, (ap, da) in enumerate(duals):
+        for j, (bp, db) in enumerate(duals):
+            lhs = delta(b2_dual(ap, bp))
+            rhs = -b2_dual(delta(ap), bp) + (-1 if da % 2 else 1) * b2_dual(ap, delta(bp))
+            rep.add(
+                f"bi.derivation2[{i + 1},{j + 1}]",
+                "delta[a,b]* = -[delta a, b]* + (-1)^|a| [a, delta b]*",
+                lhs - rhs,
+            )
+    # mixed consequence: the dual binary bracket against exact one-forms
+    for mdx in range(ch.base_dim):
+        f = x_(ch, mdx + 1)
+        dstar_f = poisson_bracket(g112, f)
+        for i in range(ch.rank1):
+            xp = xi_dn(ch, i + 1)
+            lhs = -alg.b2(xp, dstar_f)
+            rhs = -poisson_bracket(
+                poisson_bracket(g112, poisson_bracket(alg.mu121, f)), xp
+            )
+            rep.add(
+                f"bi.mixed[{mdx + 1},{i + 1}]",
+                "L2*_(d f) X = -[X, d* f]",
+                lhs - rhs,
+            )
+    return rep

@@ -28,7 +28,12 @@ from splitlie2.structures import (
     vec_scale,
     vec_sub,
 )
-from splitlie2.structures import vecstr as _vecstr
+
+
+def _vecstr(v):
+    """The residual text the package rendered before report.add took vectors."""
+    parts = [f"[{i + 1}] {p.render()}" for i, p in enumerate(v) if not p.is_zero]
+    return "; ".join(parts)
 
 
 def check_leibniz2_axioms(ops, report: CheckReport, tag: str = "leibniz2"):

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import decode_oracle
+from splitlie2 import bracket, multivectors, twisting
 from splitlie2.bracket import poisson_bracket
-from splitlie2.builtin import lsa3, sl2_structure_constants, string_sl2
+from splitlie2.builtin import builtin_example, lsa3, sl2_structure_constants, string_sl2
 from splitlie2.gradedpoly import Chart, Poly
 from splitlie2.multivectors import MCElement, mc_residual
 from splitlie2.randomsuite import random_valid_structure
@@ -224,3 +226,54 @@ def test_lambda_decode_gives_valid_structure_when_flat():
     rep, decoded = lambda_nilpotency(pair, MCElement.build(ex["structure"].chart))
     assert rep.passed and decoded is not None
     assert check_lie2_axioms(decoded).passed
+
+
+def _bialgebroid_pairs(bump):
+    """Twisted lsa3 and string_sl2 pairs and the abelian semidirect_poly
+    pair, each with dual.mu4[0][0][0] raised by 1 when bump is set."""
+    out = []
+    for name, twisted in (("lsa3", True), ("string_sl2", True), ("semidirect_poly", False)):
+        ex = builtin_example(name)
+        s = ex["structure"]
+        dual = (induced_dual_structure(s, ex["mc"])[0] if twisted
+                else decode_gamma(abelian_gamma(s), s.chart))
+        if bump:
+            dual.mu4[0][0][0] = dual.mu4[0][0][0] + Poly.const(dual.chart, 1)
+        out.append((name, BialgebroidPair(s, dual)))
+    return out
+
+
+def _bialgebroid_records(check, pair):
+    return [(r.check_id, r.passed, r.residual) for r in check(pair).records]
+
+
+@pytest.mark.parametrize("bump", [False, True])
+def test_bialgebroid_records_match_oracle(bump):
+    failing = set()
+    for _, pair in _bialgebroid_pairs(bump):
+        new = _bialgebroid_records(check_bialgebroid, pair)
+        assert new == _bialgebroid_records(decode_oracle.check_bialgebroid, pair)
+        failing.update(cid.split("[")[0] for cid, passed, _ in new if not passed)
+    want = {"bi.nilpotency", "bi.component", "bi.derivation1", "bi.derivation2", "bi.mixed"}
+    assert failing == (want if bump else set())
+
+
+def test_bialgebroid_takes_each_unary_image_once(monkeypatch):
+    """poisson_bracket calls of check_bialgebroid on the twisted pairs.  The
+    derivation loops bracketed delta* X, delta a, {g112, a} and {g112,
+    delta a} again for every index pair: 547 calls on lsa3, 229 on
+    string_sl2."""
+    calls = []
+
+    def counted(f, g):
+        calls.append((f, g))
+        return poisson_bracket(f, g)
+
+    for module in (bracket, multivectors, twisting):
+        monkeypatch.setattr(module, "poisson_bracket", counted)
+    counts = {}
+    for name, pair in _bialgebroid_pairs(False)[:2]:
+        calls.clear()
+        check_bialgebroid(pair)
+        counts[name] = len(calls)
+    assert counts == {"lsa3": 319, "string_sl2": 133}
