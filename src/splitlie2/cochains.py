@@ -18,11 +18,9 @@ from fractions import Fraction
 from .bracket import poisson_bracket
 from .gradedpoly import (
     TH,
-    THD,
     UNK,
     X,
     XI,
-    XID,
     Chart,
     Poly,
     mono_from_sequence,
@@ -30,7 +28,7 @@ from .gradedpoly import (
     x_,
     xi_up,
 )
-from .multivectors import SAlgebra, contract, section1, section2
+from .multivectors import SAlgebra, contract, frame_section, section1, section2
 from .report import CheckReport
 from .structures import Lie2Ops, Lie2Structure, basis_vector
 
@@ -66,14 +64,7 @@ def bidegree(p: Poly):
 
 def one_form(chart: Chart, a1=None, a2=None) -> Poly:
     """Cochain of a dual section: a1 over the xi frame, a2 over th."""
-    out = Poly.zero(chart)
-    for j, c in enumerate(a1 or []):
-        term = c if isinstance(c, Poly) else Poly.const(chart, c)
-        out = out + term * xi_up(chart, j + 1)
-    for j, c in enumerate(a2 or []):
-        term = c if isinstance(c, Poly) else Poly.const(chart, c)
-        out = out + term * th_up(chart, j + 1)
-    return out
+    return frame_section(chart, a1 or (), xi_up) + frame_section(chart, a2 or (), th_up)
 
 
 def coboundary(s: Lie2Structure, phi: Poly, part: str = "all") -> Poly:
@@ -365,8 +356,8 @@ def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> Ch
                     lhs - rhs,
                 )
     # contraction identities on dual frame sections
-    alphas = [one_form(ch, a1=[1 if q == a else 0 for q in range(r1)]) for a in range(r1)]
-    betas = [one_form(ch, a2=[1 if q == b else 0 for q in range(r2)]) for b in range(r2)]
+    alphas = [xi_up(ch, a + 1) for a in range(r1)]
+    betas = [th_up(ch, b + 1) for b in range(r2)]
     d_alphas = [c.d(alpha) for alpha in alphas]
     d_betas = [c.d(beta) for beta in betas]
     for i in range(r1):
@@ -411,30 +402,3 @@ def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> Ch
                 )
     return rep
 
-
-def contraction(section, phi: Poly) -> Poly:
-    """Slot contraction, dispatching on which space phi lives in.
-
-    For a fiber-coordinate polynomial the section is a pair (xv, mv) of
-    coefficient vectors over the two frames; for a momentum polynomial it
-    is a pair (a1, a2) of dual-component vectors.
-    """
-    from .multivectors import contract as _contract, is_multivector
-    from .gradedpoly import THD, XID
-
-    first, second = section
-    if is_cochain(phi):
-        comp = {}
-        if first is not None:
-            comp[XI] = first
-        if second is not None:
-            comp[TH] = second
-        return _contract(phi, comp)
-    if is_multivector(phi):
-        comp = {}
-        if first is not None:
-            comp[XID] = first
-        if second is not None:
-            comp[THD] = second
-        return _contract(phi, comp)
-    raise ValueError("argument is neither a cochain nor a multivector")

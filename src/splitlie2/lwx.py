@@ -29,19 +29,21 @@ from .gradedpoly import (
     xi_up,
 )
 from .linalg import expand_in_basis, invert, rank
-from .multivectors import MCElement, cochain_one_form_components, section1, section2
+from .multivectors import MCElement, section1, section2
 from .report import CheckReport
 from .structures import (
     FrameTables,
     Lie2Ops,
     Lie2Structure,
     MorphismData,
+    alternation_failures,
     basis_vector,
     check_leibniz2_tables,
     check_lie2_axioms,
     check_morphism,
     const_frame,
     frame_change,
+    linear_components,
     map_sections,
     nonzero_coords,
     pull_back,
@@ -188,50 +190,14 @@ class LWXOps(Lie2Ops):
 
 def embed1(chart: Chart, uv) -> Poly:
     """E_-1 vector as a polynomial: momentum frame plus coordinate duals."""
-    r1, r2 = chart.rank1, chart.rank2
-    out = section1(chart, uv[:r1])
-    for k in range(r2):
-        c = uv[r1 + k]
-        c = c if isinstance(c, Poly) else Poly.const(chart, c)
-        out = out + c * th_up(chart, k + 1)
-    return out
+    return section1(chart, uv[:chart.rank1]) + one_form(chart, a2=uv[chart.rank1:])
 
 
 def embed2(chart: Chart, wv) -> Poly:
-    r1, r2 = chart.rank1, chart.rank2
-    out = section2(chart, wv[:r2])
-    for j in range(r1):
-        c = wv[r2 + j]
-        c = c if isinstance(c, Poly) else Poly.const(chart, c)
-        out = out + c * xi_up(chart, j + 1)
-    return out
-
-
-def split1(chart: Chart, p: Poly):
-    """Inverse of embed1 for polynomials linear in (xi_, th)."""
-    r1, r2 = chart.rank1, chart.rank2
-    a = cochain_one_form_components(p, XID, r1)
-    b = cochain_one_form_components(p, TH, r2)
-    return a + b
-
-
-def split2(chart: Chart, p: Poly):
-    r1, r2 = chart.rank1, chart.rank2
-    a = cochain_one_form_components(p, THD, r2)
-    b = cochain_one_form_components(p, XI, r1)
-    return a + b
+    return section2(chart, wv[:chart.rank2]) + one_form(chart, a1=wv[chart.rank2:])
 
 
 # -- the double ------------------------------------------------------------------
-
-
-def _dual_cochain1(chart_dual: Chart, xv):
-    """A degree -1 section of the base structure, as a dual-side cochain."""
-    return one_form(chart_dual, a2=[c.lift(chart_dual) for c in xv])
-
-
-def _dual_cochain2(chart_dual: Chart, mv):
-    return one_form(chart_dual, a1=[c.lift(chart_dual) for c in mv])
 
 
 def build_double(pair: BialgebroidPair, cross_check=True):
@@ -258,18 +224,11 @@ def build_double(pair: BialgebroidPair, cross_check=True):
     lift = lambda p: p.lift(ch)
     liftv = lambda v: [lift(c) for c in v]
 
-    def th_comps(phi):
-        return [c.lift(ch) for c in cochain_one_form_components(phi, TH, r2)]
-
-    def xi_comps(phi):
-        return [c.lift(ch) for c in cochain_one_form_components(phi, XI, r1)]
-
-    def dual_a1(phi):
-        # dual-side xi components represent degree -2 sections of the base
-        return [c.lift(ch) for c in cochain_one_form_components(phi, XI, r2)]
-
-    def dual_a2(phi):
-        return [c.lift(ch) for c in cochain_one_form_components(phi, TH, r1)]
+    th_comps = lambda phi: linear_components(phi, TH, r2, ch)
+    xi_comps = lambda phi: linear_components(phi, XI, r1, ch)
+    # dual-side xi and th components represent degree -2 and -1 sections of the base
+    dual_a1 = lambda phi: linear_components(phi, XI, r2, ch)
+    dual_a2 = lambda phi: linear_components(phi, TH, r1, ch)
 
     e1 = [basis_vector(ch, r1, i) for i in range(r1)]  # degree -1 frame of the base
     f1 = [basis_vector(ch, r2, j) for j in range(r2)]  # degree -2 frame of the base
@@ -281,10 +240,10 @@ def build_double(pair: BialgebroidPair, cross_check=True):
     sed = [section1(chd, v) for v in ed]
     sfd = [section2(chd, v) for v in fd]
     # and the base frames as cochains of the dual half
-    dc1 = [_dual_cochain1(chd, v) for v in e1]
-    dc2 = [_dual_cochain2(chd, v) for v in f1]
-    th_of = [one_form(ch, a2=[1 if q == i else 0 for q in range(r2)]) for i in range(r2)]
-    xi_of = [one_form(ch, a1=[1 if q == j else 0 for q in range(r1)]) for j in range(r1)]
+    dc1 = [th_up(chd, i + 1) for i in range(r1)]
+    dc2 = [xi_up(chd, j + 1) for j in range(r2)]
+    th_of = [th_up(ch, i + 1) for i in range(r2)]
+    xi_of = [xi_up(ch, j + 1) for j in range(r1)]
 
     out = LWXStructure.empty(ch)
 
@@ -434,20 +393,28 @@ def derived_mismatches(theta: Poly, out: LWXStructure):
     c21 = derived_table(tbin, emb2, emb1)
     ternary = derived_table(tter, emb1, emb1, emb1)
 
-    detail = [f"partial[{m + 1}]" for m in range(d) if split1(ch, unary[m]) != out.partial[m]]
+    r1, r2 = ch.rank1, ch.rank2
+
+    def split1(p):
+        return linear_components(p, XID, r1, ch) + linear_components(p, TH, r2, ch)
+
+    def split2(p):
+        return linear_components(p, THD, r2, ch) + linear_components(p, XI, r1, ch)
+
+    detail = [f"partial[{m + 1}]" for m in range(d) if split1(unary[m]) != out.partial[m]]
     for a in range(d):
         row = rows[a]
         detail += [f"rho[{a + 1},{i + 1}]" for i in range(n) if row[i] != out.rho[a][i]]
         detail += [f"c11[{a + 1},{b + 1}]" for b in range(d)
-                   if split1(ch, row[n + b]) != out.c11[a][b]]
+                   if split1(row[n + b]) != out.c11[a][b]]
         for m in range(d):
-            if split2(ch, row[n + d + m]) != out.c12[a][m]:
+            if split2(row[n + d + m]) != out.c12[a][m]:
                 detail.append(f"c12[{a + 1},{m + 1}]")
-            if split2(ch, c21[m][a]) != out.c21[m][a]:
+            if split2(c21[m][a]) != out.c21[m][a]:
                 detail.append(f"c21[{m + 1},{a + 1}]")
     detail += [f"omega[{a + 1},{b + 1},{c + 1}]"
                for a in range(d) for b in range(d) for c in range(d)
-               if split2(ch, ternary[a][b][c]) != out.omega[a][b][c]]
+               if split2(ternary[a][b][c]) != out.omega[a][b][c]]
     detail += [f"pairing[{a + 1},{m + 1}]" for a in range(d) for m in range(d)
                if poisson_bracket(emb2[m], emb1[a]) != Poly.const(ch, out.pairing[a][m])]
     return detail
@@ -548,23 +515,10 @@ def check_lwx_axioms(e: LWXStructure) -> CheckReport:
                         s3[a][b][c][w] + s3[a][b][w][c],
                     )
     # enforced shape conditions
-    skew = all(
-        all((e.c11[a][b][k] + e.c11[b][a][k]).is_zero for k in range(d))
-        for a in range(d)
-        for b in range(d)
-    )
+    skew = not alternation_failures(e.c11, (d, d, d), 2)
     rep.add_flag("lwx.skew", "binary operation is skew on the degree -1 frame", skew,
                  "c11 not skew")
-    alt = True
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for k in range(d):
-                    v = e.omega[a][b][c][k]
-                    if not (v + e.omega[b][a][c][k]).is_zero:
-                        alt = False
-                    if not (v + e.omega[a][c][b][k]).is_zero:
-                        alt = False
+    alt = not alternation_failures(e.omega, (d, d, d, d), 3)
     rep.add_flag("lwx.alternating", "3-form is alternating", alt, "omega not alternating")
 
     # consequences

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .bracket import poisson_bracket
 from .gradedpoly import (
+    KIND_ODD,
     TH,
     THD,
     UNK,
@@ -32,11 +33,12 @@ from .gradedpoly import (
     mono_from_sequence,
     th_dn,
     unknown,
+    x_,
     xi_dn,
 )
 from .linalg import solve_affine
 from .report import CheckReport
-from .structures import Lie2Structure, encode_mu
+from .structures import Lie2Ops, Lie2Structure, basis_vector, encode_mu, linear_components
 
 MULTIVECTOR_KINDS = {X, XID, THD, UNK}
 
@@ -51,15 +53,15 @@ def is_multivector(p: Poly) -> bool:
 
 def section1(chart: Chart, coeffs) -> Poly:
     """Embed a degree -1 section (coefficients over the xi_ frame)."""
-    return _frame_section(chart, coeffs, xi_dn)
+    return frame_section(chart, coeffs, xi_dn)
 
 
 def section2(chart: Chart, coeffs) -> Poly:
     """Embed a degree -2 section (coefficients over the th_ frame)."""
-    return _frame_section(chart, coeffs, th_dn)
+    return frame_section(chart, coeffs, th_dn)
 
 
-def _frame_section(chart: Chart, coeffs, generator) -> Poly:
+def frame_section(chart: Chart, coeffs, generator) -> Poly:
     """sum of c_j generator_j over the nonzero coefficients c_j."""
     out = Poly.zero(chart)
     for j, c in enumerate(coeffs):
@@ -78,8 +80,6 @@ def contract(p: Poly, comp_by_kind) -> Poly:
     (-1)^(o+1) where o is the slot position among the odd factors of the
     term; even slots contribute with multiplicity and no sign.
     """
-    from .gradedpoly import KIND_ODD
-
     acc = Poly.zero(p.chart)
     for m, c in p.terms.items():
         odd_pos = 0
@@ -103,19 +103,6 @@ def contract(p: Poly, comp_by_kind) -> Poly:
             sign = (-1) ** (odd_pos + 1) if KIND_ODD[k] else 1
             acc = acc + (sign * mult * c) * (coeff * Poly(p.chart, {tuple(rest): Fraction(1)}))
     return acc
-
-
-def cochain_one_form_components(alpha: Poly, kind: int, rank: int):
-    """Base components of a one-form given as a fiber-linear polynomial."""
-    out = [Poly.zero(alpha.chart) for _ in range(rank)]
-    for m, c in alpha.terms.items():
-        hits = [(pos, idx) for pos, (k, idx, e) in enumerate(m) if k == kind]
-        if not hits:
-            continue
-        pos, idx = hits[0]
-        rest = tuple(f for q, f in enumerate(m) if q != pos)
-        out[idx - 1] = out[idx - 1] + Poly(alpha.chart, {rest: c})
-    return out
 
 
 class SAlgebra:
@@ -426,8 +413,8 @@ def verify_hp_axioms(s: Lie2Structure, count=100, seed=0, max_shifted_degree=6) 
         t = f"[{trial}]"
 
         delta_f = alg.delta(f)
-        comp = {XID: cochain_one_form_components(delta_f, XI, ch.rank1),
-                THD: cochain_one_form_components(delta_f, TH, ch.rank2)}
+        comp = {XID: linear_components(delta_f, XI, ch.rank1, ch),
+                THD: linear_components(delta_f, TH, ch.rank2, ch)}
         lhs = alg.b2(P, f * Q)
         rhs = f * alg.b2(P, Q) + _sgn(dP) * (contract(P, comp) * Q)
         rep.add(f"hp.fun{t}", "[P,fQ] = f[P,Q] + (-1)^|P| i_(df)P Q", lhs - rhs)
@@ -491,8 +478,6 @@ def verify_hp_axioms(s: Lie2Structure, count=100, seed=0, max_shifted_degree=6) 
 
 def generator_agreement_report(s: Lie2Structure) -> CheckReport:
     """Brackets on frame sections equal the tensor-level operations."""
-    from .structures import Lie2Ops, basis_vector
-
     rep = CheckReport("bracket-generators")
     alg = SAlgebra(s)
     ops = Lie2Ops(s)
@@ -504,8 +489,6 @@ def generator_agreement_report(s: Lie2Structure) -> CheckReport:
         rep.add(f"gen.unary[{j + 1}]", "[F_j] = l1(F_j)", lhs - rhs)
     for i in range(r1):
         for m in range(n):
-            from .gradedpoly import x_
-
             lhs = alg.b2(xi_dn(ch, i + 1), x_(ch, m + 1))
             rhs = ops.anchor(basis_vector(ch, r1, i), x_(ch, m + 1))
             rep.add(f"gen.anchor[{i + 1},{m + 1}]", "[E_i, f] = a(E_i)(f)", lhs - rhs)

@@ -78,13 +78,25 @@ def _tensor(chart, shape, data, name):
 
 
 def tensor_entries(t, shape):
-    """Iterate (index_tuple, entry) over a nested tensor."""
-    if not shape:
-        yield (), t
-        return
-    for i, sub in enumerate(t):
-        for idx, e in tensor_entries(sub, shape[1:]):
-            yield (i,) + idx, e
+    """The (index_tuple, entry) pairs of a nested tensor, in index order."""
+    level = [((), t)]
+    for _ in shape:
+        level = [(idx + (i,), sub) for idx, node in level for i, sub in enumerate(node)]
+    return level
+
+
+def alternation_failures(t, shape, arity):
+    """Index tuples of the entries of a nested tensor that break its
+    alternation in the first `arity` slots: the entry plus the one with
+    slots q and q + 1 swapped is nonzero for some q < arity - 1."""
+    entry = dict(tensor_entries(t, shape))
+    bad = []
+    for idx, c in entry.items():
+        for q in range(arity - 1):
+            if not (c + entry[idx[:q] + (idx[q + 1], idx[q]) + idx[q + 2:]]).is_zero:
+                bad.append(idx)
+                break
+    return bad
 
 
 @dataclass
@@ -126,21 +138,12 @@ class Lie2Structure:
 
     def symmetry_violations(self):
         """Entries breaking the required antisymmetries, as readable strings."""
-        bad = []
         r1, r2 = self.chart.rank1, self.chart.rank2
-        for i in range(r1):
-            for j in range(r1):
-                for k in range(r1):
-                    if not (self.mu3[i][j][k] + self.mu3[j][i][k]).is_zero:
-                        bad.append(f"mu3[{i + 1}][{j + 1}][{k + 1}] not antisymmetric")
-        for (i, j, k), _ in tensor_entries(self.mu5, (r1, r1, r1)):
-            for l in range(r2):
-                v = self.mu5[i][j][k][l]
-                w = self.mu5[j][i][k][l]
-                u = self.mu5[i][k][j][l]
-                if not (v + w).is_zero or not (v + u).is_zero:
-                    bad.append(f"mu5[{i + 1}][{j + 1}][{k + 1}][{l + 1}] not alternating")
-        return sorted(set(bad))
+        bad = [f"mu3[{i + 1}][{j + 1}][{k + 1}] not antisymmetric"
+               for i, j, k in alternation_failures(self.mu3, (r1, r1, r1), 2)]
+        bad += [f"mu5[{i + 1}][{j + 1}][{k + 1}][{l + 1}] not alternating"
+                for i, j, k, l in alternation_failures(self.mu5, (r1, r1, r1, r2), 3)]
+        return sorted(bad)
 
     def entries(self):
         """Every tensor entry, mu1 to mu5."""
@@ -431,85 +434,85 @@ def frame_change(ops, t1, t2) -> FrameTables:
 # -- generating function ------------------------------------------------------
 
 
+def encode_frames(s: Lie2Structure, chart: Chart, in1, in2, out1, out2) -> Poly:
+    """Generating function of the tensors of s over chart; the mirror of
+    decode_frames.
+
+    in1 and in2 are the generators (chart, index) -> Poly that stand for the
+    degree -1 and degree -2 frame slots of s, out1 and out2 those for its
+    degree -1 and degree -2 values; each entry is lifted to chart.  The terms
+    are summed in one dictionary.
+    """
+    n, r1, r2 = chart.base_dim, s.chart.rank1, s.chart.rank2
+    p = [p_(chart, i + 1) for i in range(n)]
+    a, m, u, v = ([gen(chart, i + 1) for i in range(rank)]
+                  for gen, rank in ((in1, r1), (in2, r2), (out1, r1), (out2, r2)))
+    half, sixth = Fraction(1, 2), Fraction(1, 6)
+    terms = {}
+
+    def add(tensor, shape, monomial):
+        for idx, c in tensor_entries(tensor, shape):
+            if c.terms:
+                for mono, coeff in (c.lift(chart) * monomial(*idx)).terms.items():
+                    coeff += terms.get(mono, 0)
+                    if coeff:
+                        terms[mono] = coeff
+                    else:
+                        del terms[mono]
+
+    add(s.mu1, (r1, n), lambda j, i: p[i] * a[j])
+    add(s.mu2, (r2, r1), lambda j, i: u[i] * m[j])
+    add(s.mu3, (r1, r1, r1), lambda i, j, k: half * (u[k] * a[i] * a[j]))
+    add(s.mu4, (r1, r2, r2), lambda i, j, k: v[k] * a[i] * m[j])
+    add(s.mu5, (r1, r1, r1, r2), lambda i, j, k, l: sixth * (v[l] * a[i] * a[j] * a[k]))
+    return Poly(chart, terms)
+
+
 def encode_mu(s: Lie2Structure) -> Poly:
     """Degree-4 generating function of a structure (fiberwise linear)."""
-    ch = s.chart
-    n, r1, r2 = ch.base_dim, ch.rank1, ch.rank2
-    out = Poly.zero(ch)
-    for j in range(r1):
-        for i in range(n):
-            c = s.mu1[j][i]
-            if not c.is_zero:
-                out = out + c * (p_(ch, i + 1) * xi_up(ch, j + 1))
-    for j in range(r2):
-        for i in range(r1):
-            c = s.mu2[j][i]
-            if not c.is_zero:
-                out = out + c * (xi_dn(ch, i + 1) * th_up(ch, j + 1))
-    for i in range(r1):
-        for j in range(r1):
-            for k in range(r1):
-                c = s.mu3[i][j][k]
-                if not c.is_zero:
-                    out = out + Fraction(1, 2) * c * (
-                        xi_dn(ch, k + 1) * xi_up(ch, i + 1) * xi_up(ch, j + 1)
-                    )
-    for i in range(r1):
-        for j in range(r2):
-            for k in range(r2):
-                c = s.mu4[i][j][k]
-                if not c.is_zero:
-                    out = out + c * (th_dn(ch, k + 1) * xi_up(ch, i + 1) * th_up(ch, j + 1))
-    for i in range(r1):
-        for j in range(r1):
-            for k in range(r1):
-                for l in range(r2):
-                    c = s.mu5[i][j][k][l]
-                    if not c.is_zero:
-                        out = out + Fraction(1, 6) * c * (
-                            th_dn(ch, l + 1)
-                            * xi_up(ch, i + 1)
-                            * xi_up(ch, j + 1)
-                            * xi_up(ch, k + 1)
-                        )
-    return out
+    return encode_frames(s, s.chart, xi_up, th_up, xi_dn, th_dn)
 
 
-def momentum_components(f: Poly, kind: int):
-    """Split a polynomial linear in one momentum kind into index -> base part."""
-    comps = {}
-    for m, c in f.terms.items():
-        hits = [(pos, idx, e) for pos, (k, idx, e) in enumerate(m) if k == kind]
-        if len(hits) != 1 or hits[0][2] != 1:
-            raise ValueError(f"polynomial is not linear in kind {kind}: {f.render()}")
-        pos, idx, _ = hits[0]
-        rest = tuple(fct for q, fct in enumerate(m) if q != pos)
-        base = comps.setdefault(idx, {})
-        base[rest] = base.get(rest, 0) + c
-    return {idx: Poly(f.chart, d) for idx, d in comps.items()}
+def linear_components(f: Poly, kind: int, rank: int, chart: Chart):
+    """The base parts of f along the variables of one kind, as a list over
+    indices 1..rank of polynomials on chart.
+
+    A term without a factor of the kind is skipped; a term with a second
+    factor of it, or with an exponent above 1, makes f not linear in it.
+    """
+    comps = [{} for _ in range(rank)]
+    for mono, c in f.terms.items():
+        hit = None
+        for pos, (k, _, e) in enumerate(mono):
+            if k == kind:
+                if hit is not None or e != 1:
+                    raise ValueError(f"polynomial is not linear in kind {kind}: {f.render()}")
+                hit = pos
+        if hit is not None:
+            base = comps[mono[hit][1] - 1]
+            rest = mono[:hit] + mono[hit + 1:]
+            base[rest] = base.get(rest, 0) + c
+    return [Poly(chart, d) for d in comps]
 
 
-def _components_to_list(f: Poly, kind: int, rank: int):
-    out = [Poly.zero(f.chart) for _ in range(rank)]
+def validate_generating_function(f: Poly, tridegrees, momenta, prefix: str):
+    """A generating function is zero, or degree 4 and linear in the momenta,
+    with every term in one of the tridegrees; prefix starts each message."""
     if f.is_zero:
-        return out
-    for idx, base in momentum_components(f, kind).items():
-        out[idx - 1] = base
-    return out
+        return
+    if f.degree() != 4:
+        raise ValueError(f"{prefix}generating function must have degree 4, got {f.degree()}")
+    for mono in f.terms:
+        td = mono_tridegree(mono)
+        if td not in tridegrees:
+            raise ValueError(f"inadmissible {prefix}tridegree component {td}")
+        if sum(e for k, _, e in mono if k in momenta) != 1:
+            raise ValueError(f"{prefix}generating function must be fiberwise linear")
 
 
 def decode_mu(mu: Poly, chart: Chart) -> Lie2Structure:
     """Recover the structure tensors from a degree-4 generating function."""
-    if not mu.is_zero:
-        if mu.degree() != 4:
-            raise ValueError(f"generating function must have degree 4, got {mu.degree()}")
-        for m in mu.terms:
-            td = mono_tridegree(m)
-            if td not in MU_TRIDEGREES:
-                raise ValueError(f"inadmissible tridegree component {td}")
-            w = sum(e for k, _, e in m if k in (P, XID, THD))
-            if w != 1:
-                raise ValueError("generating function must be fiberwise linear")
+    validate_generating_function(mu, MU_TRIDEGREES, (P, XID, THD), "")
     return decode_frames(
         [mu.project_tridegree(t) for t in MU_TRIDEGREES],
         [xi_dn(chart, i + 1) for i in range(chart.rank1)],
@@ -534,7 +537,7 @@ def decode_frames(parts, frame1, frame2, coords, kinds, out_chart) -> Lie2Struct
     k1, k2 = kinds
 
     def vec(p, kind, rank):
-        return [c.lift(out_chart) for c in _components_to_list(p, kind, rank)]
+        return linear_components(p, kind, rank, out_chart)
 
     rows = derived_table(binary, frame1, coords + frame1 + frame2)
     return Lie2Structure(

@@ -17,15 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bracket import poisson_bracket
-from .cochains import Calculus, one_form
+from .cochains import Calculus
 from .gradedpoly import (
     P,
     TH,
     XI,
     Chart,
     Poly,
-    mono_tridegree,
-    p_,
     th_dn,
     th_up,
     x_,
@@ -40,9 +38,10 @@ from .structures import (
     Lie2Structure,
     check_lie2_axioms,
     decode_frames,
+    encode_frames,
+    linear_components,
+    validate_generating_function,
 )
-
-_DUAL_MOMENTA = (P, XI, TH)
 
 
 def twist_gamma(s: Lie2Structure, m: MCElement) -> Poly:
@@ -57,29 +56,13 @@ def twist_gamma(s: Lie2Structure, m: MCElement) -> Poly:
     )
 
 
-def validate_gamma(gamma: Poly):
-    """A dual-type function is degree 4, linear in the dual momenta, and
-    supported in the three dual gradings."""
-    if gamma.is_zero:
-        return
-    if gamma.degree() != 4:
-        raise ValueError(f"dual generating function must have degree 4, got {gamma.degree()}")
-    for mono in gamma.terms:
-        td = mono_tridegree(mono)
-        if td not in GAMMA_TRIDEGREES:
-            raise ValueError(f"inadmissible dual tridegree component {td}")
-        w = sum(e for k, _, e in mono if k in _DUAL_MOMENTA)
-        if w != 1:
-            raise ValueError("dual generating function must be fiberwise linear")
-
-
 def decode_gamma(gamma: Poly, chart: Chart) -> Lie2Structure:
     """Structure tensors of a dual-type function, on the swapped chart.
 
     The decoded structure has degree -1 frame of size rank2 (the dual of
     the original degree -2 slot) and degree -2 frame of size rank1.
     """
-    validate_gamma(gamma)
+    validate_generating_function(gamma, GAMMA_TRIDEGREES, (P, XI, TH), "dual ")
     return decode_frames(
         [gamma.project_tridegree(t) for t in GAMMA_TRIDEGREES],
         [th_up(chart, j + 1) for j in range(chart.rank2)],
@@ -94,51 +77,7 @@ def encode_gamma(dual: Lie2Structure, chart: Chart) -> Poly:
     """Dual-type generating function of a structure on the swapped chart."""
     if dual.chart.rank1 != chart.rank2 or dual.chart.rank2 != chart.rank1:
         raise ValueError("dual structure ranks do not match the base chart")
-    n, r1, r2 = chart.base_dim, chart.rank1, chart.rank2
-    out = Poly.zero(chart)
-
-    def lift(c: Poly) -> Poly:
-        return c.lift(chart)
-
-    for j in range(r2):
-        for i in range(n):
-            c = lift(dual.mu1[j][i])
-            if not c.is_zero:
-                out = out + c * (p_(chart, i + 1) * th_dn(chart, j + 1))
-    for j in range(r1):
-        for i in range(r2):
-            c = lift(dual.mu2[j][i])
-            if not c.is_zero:
-                out = out + c * (th_up(chart, i + 1) * xi_dn(chart, j + 1))
-    for i in range(r2):
-        for j in range(r2):
-            for k in range(r2):
-                c = lift(dual.mu3[i][j][k])
-                if not c.is_zero:
-                    out = out + Fraction(1, 2) * c * (
-                        th_up(chart, k + 1) * th_dn(chart, i + 1) * th_dn(chart, j + 1)
-                    )
-    for i in range(r2):
-        for j in range(r1):
-            for k in range(r1):
-                c = lift(dual.mu4[i][j][k])
-                if not c.is_zero:
-                    out = out + c * (
-                        xi_up(chart, k + 1) * xi_dn(chart, j + 1) * th_dn(chart, i + 1)
-                    )
-    for i in range(r2):
-        for j in range(r2):
-            for k in range(r2):
-                for l in range(r1):
-                    c = lift(dual.mu5[i][j][k][l])
-                    if not c.is_zero:
-                        out = out + Fraction(1, 6) * c * (
-                            xi_up(chart, l + 1)
-                            * th_dn(chart, i + 1)
-                            * th_dn(chart, j + 1)
-                            * th_dn(chart, k + 1)
-                        )
-    return out
+    return encode_frames(dual, chart, th_dn, xi_dn, th_up, xi_up)
 
 
 def abelian_gamma(s: Lie2Structure) -> Poly:
@@ -169,18 +108,10 @@ def dual_structure_formulas(s: Lie2Structure, m: MCElement) -> Lie2Structure:
     ops = Lie2Ops(s)
     ktens = m.k_tensor()
 
-    def th_comps(phi: Poly):
-        from .multivectors import cochain_one_form_components
-
-        return [c.lift(out.chart) for c in cochain_one_form_components(phi, TH, r2)]
-
-    def xi_comps(phi: Poly):
-        from .multivectors import cochain_one_form_components
-
-        return [c.lift(out.chart) for c in cochain_one_form_components(phi, XI, r1)]
-
-    theta = lambda i: one_form(ch, a2=[1 if q == i else 0 for q in range(r2)])
-    xi = lambda j: one_form(ch, a1=[1 if q == j else 0 for q in range(r1)])
+    th_comps = lambda phi: linear_components(phi, TH, r2, out.chart)
+    xi_comps = lambda phi: linear_components(phi, XI, r1, out.chart)
+    theta = lambda i: th_up(ch, i + 1)
+    xi = lambda j: xi_up(ch, j + 1)
     # the sections H#, Hn and K(a, b) the Lie derivatives run along
     hs = [section1(ch, m.h_sharp(i)) for i in range(r2)]
     hn = [section2(ch, m.h_nat(j)) for j in range(r1)]

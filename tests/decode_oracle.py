@@ -1,15 +1,23 @@
-"""Derived-bracket decoders that bracket every entry from scratch.
+"""Derived-bracket decoders that bracket every entry from scratch, and the
+frame codec as it was before one encoder, reader and embedder served it.
 
-These are the loop nests ``derived_table`` replaces: each entry is one
-``derived_bracket`` call, so the inner bracket ``{g, e_i}`` is recomputed
-for every outer index.  ``decode_mu`` and ``decode_gamma`` are the decoders
-of ``splitlie2.structures`` and ``splitlie2.twisting`` before they shared
-one table; ``crosscheck`` is route (b) of ``splitlie2.lwx.build_double``
-before it read its four tables, and returns the flag verdict and the full
-list of mismatching entry names.  ``test_derived_table.py`` compares them
-with the package.  ``check_bialgebroid`` is the bialgebroid check of
+``decode_mu``, ``decode_gamma`` and ``crosscheck`` are the loop nests
+``derived_table`` replaces: each entry is one ``derived_bracket`` call, so
+the inner bracket ``{g, e_i}`` is recomputed for every outer index.
+``decode_mu`` and ``decode_gamma`` are the decoders of
+``splitlie2.structures`` and ``splitlie2.twisting`` before they shared one
+table; ``crosscheck`` is route (b) of ``splitlie2.lwx.build_double`` before
+it read its four tables, and returns the flag verdict and the full list of
+mismatching entry names.  ``test_derived_table.py`` compares them with the
+package.  ``check_bialgebroid`` is the bialgebroid check of
 ``splitlie2.twisting`` from before its derivation loops took each unary
 image once; ``test_twisting.py`` compares its records with the package.
+
+``encode_mu``, ``encode_gamma``, ``validate_gamma``, ``momentum_components``
+with ``_components_to_list``, ``cochain_one_form_components``, ``embed1``,
+``embed2``, ``split1``, ``split2`` and ``one_form`` are copies of the package code that
+``encode_frames``, ``validate_generating_function``, ``linear_components``
+and the section embedders replace; ``test_frame_codec.py`` compares them.
 This module is test-only; the package keeps one implementation.
 """
 
@@ -17,23 +25,228 @@ from fractions import Fraction
 
 from splitlie2.bracket import derived_bracket, poisson_bracket
 from splitlie2.gradedpoly import (
+    P,
     TH,
     THD,
     XI,
     XID,
     Chart,
     Poly,
+    mono_tridegree,
+    p_,
     th_dn,
     th_up,
     x_,
     xi_dn,
     xi_up,
 )
-from splitlie2.lwx import embed1, embed2, split1, split2
-from splitlie2.multivectors import SAlgebra
+from splitlie2.multivectors import SAlgebra, section1, section2
 from splitlie2.report import CheckReport
-from splitlie2.structures import Lie2Structure, _components_to_list
-from splitlie2.twisting import BialgebroidPair, validate_gamma
+from splitlie2.structures import GAMMA_TRIDEGREES, Lie2Structure
+from splitlie2.twisting import BialgebroidPair
+
+_DUAL_MOMENTA = (P, XI, TH)
+
+
+# -- the frame codec before encode_frames ------------------------------------------
+
+
+def encode_mu(s: Lie2Structure) -> Poly:
+    """Degree-4 generating function of a structure (fiberwise linear)."""
+    ch = s.chart
+    n, r1, r2 = ch.base_dim, ch.rank1, ch.rank2
+    out = Poly.zero(ch)
+    for j in range(r1):
+        for i in range(n):
+            c = s.mu1[j][i]
+            if not c.is_zero:
+                out = out + c * (p_(ch, i + 1) * xi_up(ch, j + 1))
+    for j in range(r2):
+        for i in range(r1):
+            c = s.mu2[j][i]
+            if not c.is_zero:
+                out = out + c * (xi_dn(ch, i + 1) * th_up(ch, j + 1))
+    for i in range(r1):
+        for j in range(r1):
+            for k in range(r1):
+                c = s.mu3[i][j][k]
+                if not c.is_zero:
+                    out = out + Fraction(1, 2) * c * (
+                        xi_dn(ch, k + 1) * xi_up(ch, i + 1) * xi_up(ch, j + 1)
+                    )
+    for i in range(r1):
+        for j in range(r2):
+            for k in range(r2):
+                c = s.mu4[i][j][k]
+                if not c.is_zero:
+                    out = out + c * (th_dn(ch, k + 1) * xi_up(ch, i + 1) * th_up(ch, j + 1))
+    for i in range(r1):
+        for j in range(r1):
+            for k in range(r1):
+                for l in range(r2):
+                    c = s.mu5[i][j][k][l]
+                    if not c.is_zero:
+                        out = out + Fraction(1, 6) * c * (
+                            th_dn(ch, l + 1)
+                            * xi_up(ch, i + 1)
+                            * xi_up(ch, j + 1)
+                            * xi_up(ch, k + 1)
+                        )
+    return out
+
+
+def momentum_components(f: Poly, kind: int):
+    """Split a polynomial linear in one momentum kind into index -> base part."""
+    comps = {}
+    for m, c in f.terms.items():
+        hits = [(pos, idx, e) for pos, (k, idx, e) in enumerate(m) if k == kind]
+        if len(hits) != 1 or hits[0][2] != 1:
+            raise ValueError(f"polynomial is not linear in kind {kind}: {f.render()}")
+        pos, idx, _ = hits[0]
+        rest = tuple(fct for q, fct in enumerate(m) if q != pos)
+        base = comps.setdefault(idx, {})
+        base[rest] = base.get(rest, 0) + c
+    return {idx: Poly(f.chart, d) for idx, d in comps.items()}
+
+
+def _components_to_list(f: Poly, kind: int, rank: int):
+    out = [Poly.zero(f.chart) for _ in range(rank)]
+    if f.is_zero:
+        return out
+    for idx, base in momentum_components(f, kind).items():
+        out[idx - 1] = base
+    return out
+
+
+def validate_gamma(gamma: Poly):
+    """A dual-type function is degree 4, linear in the dual momenta, and
+    supported in the three dual gradings."""
+    if gamma.is_zero:
+        return
+    if gamma.degree() != 4:
+        raise ValueError(f"dual generating function must have degree 4, got {gamma.degree()}")
+    for mono in gamma.terms:
+        td = mono_tridegree(mono)
+        if td not in GAMMA_TRIDEGREES:
+            raise ValueError(f"inadmissible dual tridegree component {td}")
+        w = sum(e for k, _, e in mono if k in _DUAL_MOMENTA)
+        if w != 1:
+            raise ValueError("dual generating function must be fiberwise linear")
+
+
+def encode_gamma(dual: Lie2Structure, chart: Chart) -> Poly:
+    """Dual-type generating function of a structure on the swapped chart."""
+    if dual.chart.rank1 != chart.rank2 or dual.chart.rank2 != chart.rank1:
+        raise ValueError("dual structure ranks do not match the base chart")
+    n, r1, r2 = chart.base_dim, chart.rank1, chart.rank2
+    out = Poly.zero(chart)
+
+    def lift(c: Poly) -> Poly:
+        return c.lift(chart)
+
+    for j in range(r2):
+        for i in range(n):
+            c = lift(dual.mu1[j][i])
+            if not c.is_zero:
+                out = out + c * (p_(chart, i + 1) * th_dn(chart, j + 1))
+    for j in range(r1):
+        for i in range(r2):
+            c = lift(dual.mu2[j][i])
+            if not c.is_zero:
+                out = out + c * (th_up(chart, i + 1) * xi_dn(chart, j + 1))
+    for i in range(r2):
+        for j in range(r2):
+            for k in range(r2):
+                c = lift(dual.mu3[i][j][k])
+                if not c.is_zero:
+                    out = out + Fraction(1, 2) * c * (
+                        th_up(chart, k + 1) * th_dn(chart, i + 1) * th_dn(chart, j + 1)
+                    )
+    for i in range(r2):
+        for j in range(r1):
+            for k in range(r1):
+                c = lift(dual.mu4[i][j][k])
+                if not c.is_zero:
+                    out = out + c * (
+                        xi_up(chart, k + 1) * xi_dn(chart, j + 1) * th_dn(chart, i + 1)
+                    )
+    for i in range(r2):
+        for j in range(r2):
+            for k in range(r2):
+                for l in range(r1):
+                    c = lift(dual.mu5[i][j][k][l])
+                    if not c.is_zero:
+                        out = out + Fraction(1, 6) * c * (
+                            xi_up(chart, l + 1)
+                            * th_dn(chart, i + 1)
+                            * th_dn(chart, j + 1)
+                            * th_dn(chart, k + 1)
+                        )
+    return out
+
+
+def cochain_one_form_components(alpha: Poly, kind: int, rank: int):
+    """Base components of a one-form given as a fiber-linear polynomial."""
+    out = [Poly.zero(alpha.chart) for _ in range(rank)]
+    for m, c in alpha.terms.items():
+        hits = [(pos, idx) for pos, (k, idx, e) in enumerate(m) if k == kind]
+        if not hits:
+            continue
+        pos, idx = hits[0]
+        rest = tuple(f for q, f in enumerate(m) if q != pos)
+        out[idx - 1] = out[idx - 1] + Poly(alpha.chart, {rest: c})
+    return out
+
+
+def embed1(chart: Chart, uv) -> Poly:
+    """E_-1 vector as a polynomial: momentum frame plus coordinate duals."""
+    r1, r2 = chart.rank1, chart.rank2
+    out = section1(chart, uv[:r1])
+    for k in range(r2):
+        c = uv[r1 + k]
+        c = c if isinstance(c, Poly) else Poly.const(chart, c)
+        out = out + c * th_up(chart, k + 1)
+    return out
+
+
+def embed2(chart: Chart, wv) -> Poly:
+    r1, r2 = chart.rank1, chart.rank2
+    out = section2(chart, wv[:r2])
+    for j in range(r1):
+        c = wv[r2 + j]
+        c = c if isinstance(c, Poly) else Poly.const(chart, c)
+        out = out + c * xi_up(chart, j + 1)
+    return out
+
+
+def split1(chart: Chart, p: Poly):
+    """Inverse of embed1 for polynomials linear in (xi_, th)."""
+    r1, r2 = chart.rank1, chart.rank2
+    a = cochain_one_form_components(p, XID, r1)
+    b = cochain_one_form_components(p, TH, r2)
+    return a + b
+
+
+def split2(chart: Chart, p: Poly):
+    r1, r2 = chart.rank1, chart.rank2
+    a = cochain_one_form_components(p, THD, r2)
+    b = cochain_one_form_components(p, XI, r1)
+    return a + b
+
+
+def one_form(chart: Chart, a1=None, a2=None) -> Poly:
+    """Cochain of a dual section: a1 over the xi frame, a2 over th."""
+    out = Poly.zero(chart)
+    for j, c in enumerate(a1 or []):
+        term = c if isinstance(c, Poly) else Poly.const(chart, c)
+        out = out + term * xi_up(chart, j + 1)
+    for j, c in enumerate(a2 or []):
+        term = c if isinstance(c, Poly) else Poly.const(chart, c)
+        out = out + term * th_up(chart, j + 1)
+    return out
+
+
+# -- per-entry decoders -------------------------------------------------------------
 
 
 def decode_mu(mu: Poly, chart: Chart) -> Lie2Structure:

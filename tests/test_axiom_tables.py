@@ -215,3 +215,14 @@ def test_lwx_suites_match_oracle_on_perturbed_doubles(name):
     assert not all(passed for _, passed, _ in new)
     for sub in (Subbundle.canonical_half(e.chart), Subbundle.canonical_dual_half(e.chart)):
         _assert_same_dirac(e, sub)
+
+
+@pytest.mark.parametrize("table,index,k", [("c11", (0, 1), 2), ("c11", (2, 2), 0),
+                                           ("omega", (0, 1, 2), 1), ("omega", (1, 1, 0), 3)])
+def test_lwx_shape_flags_match_oracle_on_broken_alternations(table, index, k):
+    e = _double("string_sl2", True, cross_check=False)
+    _bump(e, table, index, k)
+    new = _report_records(check_lwx_axioms(e))
+    assert new == _report_records(oracle.check_lwx_axioms(e))
+    flag = "lwx.skew" if table == "c11" else "lwx.alternating"
+    assert [passed for check_id, passed, _ in new if check_id == flag] == [False]

@@ -178,3 +178,44 @@ def test_symmetry_violation_reported():
     s.mu3[0][1][0] = Poly.const(ch, 1)  # missing the signed mirror entry
     assert s.symmetry_violations()
     assert not check_lie2_axioms(s).passed
+
+
+def _old_symmetry_violations(s):
+    """Lie2Structure.symmetry_violations before it shared alternation_failures."""
+    bad = []
+    r1, r2 = s.chart.rank1, s.chart.rank2
+    for i in range(r1):
+        for j in range(r1):
+            for k in range(r1):
+                if not (s.mu3[i][j][k] + s.mu3[j][i][k]).is_zero:
+                    bad.append(f"mu3[{i + 1}][{j + 1}][{k + 1}] not antisymmetric")
+    for i in range(r1):
+        for j in range(r1):
+            for k in range(r1):
+                for l in range(r2):
+                    v = s.mu5[i][j][k][l]
+                    w = s.mu5[j][i][k][l]
+                    u = s.mu5[i][k][j][l]
+                    if not (v + w).is_zero or not (v + u).is_zero:
+                        bad.append(f"mu5[{i + 1}][{j + 1}][{k + 1}][{l + 1}] not alternating")
+    return sorted(set(bad))
+
+
+def test_symmetry_violations_match_the_old_loops_on_broken_alternations():
+    rng = random.Random(41)
+    broken = 0
+    for s, _ in structure_suite(40, seed=13):
+        assert s.symmetry_violations() == _old_symmetry_violations(s)
+        ch = s.chart
+        r1, r2 = ch.rank1, ch.rank2
+        for _ in range(3):
+            if r1 >= 2 and rng.random() < 0.5:
+                i, j, k = (rng.randrange(r1) for _ in range(3))
+                s.mu3[i][j][k] = s.mu3[i][j][k] + Poly.const(ch, rng.randint(1, 3))
+            elif r1 and r2:
+                i, j, k, l = (rng.randrange(r) for r in (r1, r1, r1, r2))
+                s.mu5[i][j][k][l] = s.mu5[i][j][k][l] + Poly.const(ch, rng.randint(1, 3))
+        bad = s.symmetry_violations()
+        assert bad == _old_symmetry_violations(s)
+        broken += bool(bad)
+    assert broken > 20
