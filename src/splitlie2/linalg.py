@@ -9,13 +9,16 @@ def _frac_matrix(rows):
     return [[Fraction(v) for v in row] for row in rows]
 
 
-def rank(rows) -> int:
-    m = _frac_matrix(rows)
-    if not m:
-        return 0
-    nrow, ncol = len(m), len(m[0])
-    r = 0
+def row_reduce(m, ncol):
+    """Gauss-Jordan elimination of the first ncol columns of the rational
+    matrix m, in place; returns the pivot columns.  Columns past ncol are
+    carried along: the row operations depend on the first ncol only."""
+    nrow = len(m)
+    pivots = []
     for c in range(ncol):
+        r = len(pivots)
+        if r == nrow:
+            break
         piv = next((i for i in range(r, nrow) if m[i][c] != 0), None)
         if piv is None:
             continue
@@ -26,10 +29,13 @@ def rank(rows) -> int:
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrow:
-            break
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def rank(rows) -> int:
+    m = _frac_matrix(rows)
+    return len(row_reduce(m, len(m[0]) if m else 0))
 
 
 def invert(rows):
@@ -37,17 +43,8 @@ def invert(rows):
     m = _frac_matrix(rows)
     n = len(m)
     aug = [m[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    if len(row_reduce(aug, n)) < n:
+        return None
     return [row[n:] for row in aug]
 
 
@@ -60,26 +57,9 @@ def solve_affine(a_rows, b_col):
     nrow = len(a_rows)
     ncol = len(a_rows[0]) if a_rows else 0
     aug = [[Fraction(v) for v in a_rows[i]] + [Fraction(b_col[i])] for i in range(nrow)]
-    pivots = []
-    r = 0
-    for c in range(ncol):
-        piv = next((i for i in range(r, nrow) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(nrow):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrow:
-            break
-    for i in range(r, nrow):
-        if aug[i][ncol] != 0:
-            return None
+    pivots = row_reduce(aug, ncol)
+    if any(aug[i][ncol] != 0 for i in range(len(pivots), nrow)):
+        return None
     particular = [Fraction(0)] * ncol
     for i, c in enumerate(pivots):
         particular[c] = aug[i][ncol]

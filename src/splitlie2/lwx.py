@@ -28,7 +28,7 @@ from .gradedpoly import (
     x_,
     xi_up,
 )
-from .linalg import expand_in_basis, invert, rank
+from .linalg import invert, rank, row_reduce
 from .multivectors import MCElement, section1, section2
 from .report import CheckReport
 from .structures import (
@@ -41,6 +41,7 @@ from .structures import (
     check_leibniz2_tables,
     check_lie2_axioms,
     check_morphism,
+    combine,
     const_frame,
     frame_change,
     linear_components,
@@ -71,6 +72,21 @@ def hyperbolic_pairing(r1: int, r2: int):
     for k in range(r2):
         s[r1 + k][k] = Fraction(1)
     return s
+
+
+def pairing_gram(us, pairing, ws):
+    """The matrix S(u_i, w_j) = sum u_i[a] S[a][m] w_j[m] of two lists of
+    rational rows; zero entries are skipped."""
+    gram = []
+    for u in us:
+        su = {}  # the nonzero entries of u S
+        for a, ua in enumerate(u):
+            if ua:
+                for m, q in enumerate(pairing[a]):
+                    if q:
+                        su[m] = su.get(m, 0) + ua * q
+        gram.append([sum(c * w[m] for m, c in su.items() if c) for w in ws])
+    return gram
 
 
 @dataclass
@@ -245,122 +261,124 @@ def build_double(pair: BialgebroidPair, cross_check=True):
     th_of = [th_up(ch, i + 1) for i in range(r2)]
     xi_of = [xi_up(ch, j + 1) for j in range(r1)]
 
-    out = LWXStructure.empty(ch)
+    # frame vector a of E_-1 as (base part, dual part), one of them None;
+    # the same for frame vector m of E_-2
+    slot1 = lambda a: (e1[a], None) if a < r1 else (None, ed[a - r1])
+    slot2 = lambda m: (f1[m], None) if m < r2 else (None, fd[m - r2])
 
     # unary map and anchor
-    for m in range(d):
+    def partial(m):
         if m < r2:
-            vec = [c.lift(ch) for c in ops.l1(f1[m])] + [Poly.zero(ch)] * r2
-        else:
-            j = m - r2
-            vec = [Poly.zero(ch)] * r1 + [c.lift(ch) for c in opsd.l1(fd[j])]
-        out.partial[m] = vec
-    for a in range(d):
-        for i in range(n):
-            if a < r1:
-                out.rho[a][i] = ops.anchor(e1[a], x_(ch, i + 1))
-            else:
-                out.rho[a][i] = opsd.anchor(ed[a - r1], x_(ch.swapped(), i + 1)).lift(ch)
+            return [c.lift(ch) for c in ops.l1(f1[m])] + [Poly.zero(ch)] * r2
+        return [Poly.zero(ch)] * r1 + [c.lift(ch) for c in opsd.l1(fd[m - r2])]
+
+    def rho(a, i):
+        if a < r1:
+            return ops.anchor(e1[a], x_(ch, i + 1))
+        return opsd.anchor(ed[a - r1], x_(ch.swapped(), i + 1)).lift(ch)
 
     # binary operation on the degree -1 frame
-    for a in range(d):
-        for b in range(d):
-            xpart = [Poly.zero(ch)] * r1
-            tpart = [Poly.zero(ch)] * r2
-            xv = e1[a] if a < r1 else None
-            av = ed[a - r1] if a >= r1 else None
-            yv = e1[b] if b < r1 else None
-            bv = ed[b - r1] if b >= r1 else None
-            if xv and yv:
-                xpart = vec_add(xpart, liftv(ops.l2_11(xv, yv)))
-            if xv and bv is not None:
-                tpart = vec_add(tpart, th_comps(calc.lie1(se1[a], th_of[b - r1])))
-            if yv and av is not None:
-                tpart = vec_sub(tpart, th_comps(calc.lie1(se1[b], th_of[a - r1])))
-            if av is not None and bv is not None:
-                tpart = vec_add(tpart, [c.lift(ch) for c in opsd.l2_11(av, bv)])
-            if av is not None and yv:
-                xpart = vec_add(xpart, dual_a2(calcd.lie1(sed[a - r1], dc1[b])))
-            if bv is not None and xv:
-                xpart = vec_sub(xpart, dual_a2(calcd.lie1(sed[b - r1], dc1[a])))
-            out.c11[a][b] = xpart + tpart
+    def c11(a, b):
+        xpart = [Poly.zero(ch)] * r1
+        tpart = [Poly.zero(ch)] * r2
+        (xv, av), (yv, bv) = slot1(a), slot1(b)
+        if xv and yv:
+            xpart = vec_add(xpart, liftv(ops.l2_11(xv, yv)))
+        if xv and bv is not None:
+            tpart = vec_add(tpart, th_comps(calc.lie1(se1[a], th_of[b - r1])))
+        if yv and av is not None:
+            tpart = vec_sub(tpart, th_comps(calc.lie1(se1[b], th_of[a - r1])))
+        if av is not None and bv is not None:
+            tpart = vec_add(tpart, [c.lift(ch) for c in opsd.l2_11(av, bv)])
+        if av is not None and yv:
+            xpart = vec_add(xpart, dual_a2(calcd.lie1(sed[a - r1], dc1[b])))
+        if bv is not None and xv:
+            xpart = vec_sub(xpart, dual_a2(calcd.lie1(sed[b - r1], dc1[a])))
+        return xpart + tpart
 
     # mixed operations
-    for a in range(d):
-        for m in range(d):
-            mpart = [Poly.zero(ch)] * r2
-            xipart = [Poly.zero(ch)] * r1
-            xv = e1[a] if a < r1 else None
-            av = ed[a - r1] if a >= r1 else None
-            wv = f1[m] if m < r2 else None
-            bv = fd[m - r2] if m >= r2 else None
-            if xv and wv:
-                mpart = vec_add(mpart, liftv(ops.l2_12(xv, wv)))
-            if xv and bv is not None:
-                xipart = vec_add(xipart, xi_comps(calc.lie1(se1[a], xi_of[m - r2])))
-            if wv and av is not None:
-                xipart = vec_add(
-                    xipart, xi_comps(calc.iota(None, wv, calc.d(th_of[a - r1])))
-                )
-            if av is not None and bv is not None:
-                xipart = vec_add(xipart, [c.lift(ch) for c in opsd.l2_12(av, bv)])
-            if av is not None and wv:
-                mpart = vec_add(mpart, dual_a1(calcd.lie1(sed[a - r1], dc2[m])))
-            if bv is not None and xv:
-                mpart = vec_add(
-                    mpart,
-                    dual_a1(calcd.iota(None, fd[m - r2], calcd.d(dc1[a]))),
-                )
-            out.c12[a][m] = mpart + xipart
+    def c12(a, m):
+        mpart = [Poly.zero(ch)] * r2
+        xipart = [Poly.zero(ch)] * r1
+        (xv, av), (wv, bv) = slot1(a), slot2(m)
+        if xv and wv:
+            mpart = vec_add(mpart, liftv(ops.l2_12(xv, wv)))
+        if xv and bv is not None:
+            xipart = vec_add(xipart, xi_comps(calc.lie1(se1[a], xi_of[m - r2])))
+        if wv and av is not None:
+            xipart = vec_add(
+                xipart, xi_comps(calc.iota(None, wv, calc.d(th_of[a - r1])))
+            )
+        if av is not None and bv is not None:
+            xipart = vec_add(xipart, [c.lift(ch) for c in opsd.l2_12(av, bv)])
+        if av is not None and wv:
+            mpart = vec_add(mpart, dual_a1(calcd.lie1(sed[a - r1], dc2[m])))
+        if bv is not None and xv:
+            mpart = vec_add(
+                mpart,
+                dual_a1(calcd.iota(None, fd[m - r2], calcd.d(dc1[a]))),
+            )
+        return mpart + xipart
 
-            mpart = [Poly.zero(ch)] * r2
-            xipart = [Poly.zero(ch)] * r1
-            if wv and xv:
-                mpart = vec_add(mpart, liftv(ops.l2_21(wv, xv)))
-            if bv is not None and av is not None:
-                xipart = vec_add(xipart, [c.lift(ch) for c in opsd.l2_21(bv, av)])
-            if wv and av is not None:
-                # dual L2 along the degree -2 frame of the dual half
-                xipart = vec_add(xipart, xi_comps(calc.lie2(sf1[m], th_of[a - r1])))
-            if bv is not None and xv:
-                xipart = vec_add(xipart, xi_comps(calc.iota(xv, None, calc.d(xi_of[m - r2]))))
-            if xv and bv is not None:
-                mpart = vec_add(mpart, dual_a1(calcd.lie2(sfd[m - r2], dc1[a])))
-            if av is not None and wv:
-                mpart = vec_add(
-                    mpart,
-                    dual_a1(calcd.iota(ed[a - r1], None, calcd.d(dc2[m]))),
-                )
-            out.c21[m][a] = mpart + xipart
+    def c21(m, a):
+        mpart = [Poly.zero(ch)] * r2
+        xipart = [Poly.zero(ch)] * r1
+        (xv, av), (wv, bv) = slot1(a), slot2(m)
+        if wv and xv:
+            mpart = vec_add(mpart, liftv(ops.l2_21(wv, xv)))
+        if bv is not None and av is not None:
+            xipart = vec_add(xipart, [c.lift(ch) for c in opsd.l2_21(bv, av)])
+        if wv and av is not None:
+            # dual L2 along the degree -2 frame of the dual half
+            xipart = vec_add(xipart, xi_comps(calc.lie2(sf1[m], th_of[a - r1])))
+        if bv is not None and xv:
+            xipart = vec_add(xipart, xi_comps(calc.iota(xv, None, calc.d(xi_of[m - r2]))))
+        if xv and bv is not None:
+            mpart = vec_add(mpart, dual_a1(calcd.lie2(sfd[m - r2], dc1[a])))
+        if av is not None and wv:
+            mpart = vec_add(
+                mpart,
+                dual_a1(calcd.iota(ed[a - r1], None, calcd.d(dc2[m]))),
+            )
+        return mpart + xipart
 
     # curvature 3-form
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                mpart = [Poly.zero(ch)] * r2
-                xipart = [Poly.zero(ch)] * r1
-                qs = (a, b, c)
-                xs = [e1[q] if q < r1 else None for q in qs]
-                als = [q - r1 if q >= r1 else None for q in qs]
-                if all(v is not None for v in xs):
-                    mpart = vec_add(mpart, liftv(ops.l3(*xs)))
-                # L3 terms: two base sections against one dual frame
-                for (p, q, rr) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                    if xs[p] is not None and xs[q] is not None and als[rr] is not None:
-                        xipart = vec_add(
-                            xipart,
-                            xi_comps(calc.lie3(se1[qs[p]], se1[qs[q]], th_of[als[rr]])),
-                        )
-                    if als[p] is not None and als[q] is not None and xs[rr] is not None:
-                        mpart = vec_add(
-                            mpart, dual_a1(calcd.lie3(sed[als[p]], sed[als[q]], dc1[qs[rr]]))
-                        )
-                if all(v is not None for v in als):
-                    xipart = vec_add(
-                        xipart,
-                        [c2.lift(ch) for c2 in opsd.l3(ed[als[0]], ed[als[1]], ed[als[2]])],
-                    )
-                out.omega[a][b][c] = mpart + xipart
+    def omega(a, b, c):
+        mpart = [Poly.zero(ch)] * r2
+        xipart = [Poly.zero(ch)] * r1
+        qs = (a, b, c)
+        xs = [e1[q] if q < r1 else None for q in qs]
+        als = [q - r1 if q >= r1 else None for q in qs]
+        if all(v is not None for v in xs):
+            mpart = vec_add(mpart, liftv(ops.l3(*xs)))
+        # L3 terms: two base sections against one dual frame
+        for (p, q, rr) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            if xs[p] is not None and xs[q] is not None and als[rr] is not None:
+                xipart = vec_add(
+                    xipart,
+                    xi_comps(calc.lie3(se1[qs[p]], se1[qs[q]], th_of[als[rr]])),
+                )
+            if als[p] is not None and als[q] is not None and xs[rr] is not None:
+                mpart = vec_add(
+                    mpart, dual_a1(calcd.lie3(sed[als[p]], sed[als[q]], dc1[qs[rr]]))
+                )
+        if all(v is not None for v in als):
+            xipart = vec_add(
+                xipart,
+                [c2.lift(ch) for c2 in opsd.l3(ed[als[0]], ed[als[1]], ed[als[2]])],
+            )
+        return mpart + xipart
+
+    out = LWXStructure(
+        ch,
+        [partial(m) for m in range(d)],
+        [[rho(a, i) for i in range(n)] for a in range(d)],
+        [[c11(a, b) for b in range(d)] for a in range(d)],
+        [[c12(a, m) for m in range(d)] for a in range(d)],
+        [[c21(m, a) for a in range(d)] for m in range(d)],
+        [[[omega(a, b, c) for c in range(d)] for b in range(d)] for a in range(d)],
+        hyperbolic_pairing(r1, r2),
+    )
 
     if not cross_check:
         return out, rep
@@ -568,27 +586,33 @@ class Subbundle:
         return Subbundle(b1, b2)
 
 
-def _polyvec_rows(vec):
-    """Monomial -> rational coefficient row for a vector of base polys."""
-    rows = {}
-    width = len(vec)
-    for pos, p in enumerate(vec):
-        for mono, c in p.terms.items():
-            rows.setdefault(mono, [Fraction(0)] * width)[pos] = c
-    return rows
+def polyvec_expander(basis, d, chart):
+    """The map from a vector of d base polynomials to its coefficients in the
+    rational basis, or None where it leaves their span.
 
+    Each monomial's coefficients are the particular solution expand_in_basis
+    gives (free unknowns zero).  The basis is row-reduced once: the
+    elimination of [basis columns | identity] leaves, in its right block,
+    the row operations E, and E applied to a vector is what reducing it
+    alongside the basis would give.
+    """
+    k = len(basis)
+    aug = [[Fraction(b[a]) for b in basis] + [Fraction(int(a == q)) for q in range(d)]
+           for a in range(d)]
+    pivots = row_reduce(aug, k)
+    r = len(pivots)
+    ops_cols = [[row[k + q] for row in aug] for q in range(d)]  # columns of E
 
-def polyvec_expand(basis, vec, chart):
-    """Base-polynomial coefficients expressing vec in the rational basis."""
-    coeffs = [Poly.zero(chart) for _ in basis]
-    for mono, row in _polyvec_rows(vec).items():
-        sol = expand_in_basis(basis, row)
-        if sol is None:
+    def expand(vec):
+        reduced = combine(vec, ops_cols, d, chart)
+        if any(c.terms for c in reduced[r:]):
             return None
-        for i, c in enumerate(sol):
-            if c:
-                coeffs[i] = coeffs[i] + Poly(chart, {mono: c})
-    return coeffs
+        coeffs = [Poly.zero(chart)] * k
+        for i, c in enumerate(pivots):
+            coeffs[c] = reduced[i]
+        return coeffs
+
+    return expand
 
 
 def check_strict_dirac(e: LWXStructure, sub: Subbundle):
@@ -603,11 +627,7 @@ def check_strict_dirac(e: LWXStructure, sub: Subbundle):
     b1, b2 = sub.basis1, sub.basis2
     rep.add_flag("dirac.independent", "subbundle bases are linearly independent",
                  rank(b1) == len(b1) and rank(b2) == len(b2), "dependent basis")
-    iso = all(
-        sum(u[a] * e.pairing[a][m] * w[m] for a in range(d) for m in range(d)) == 0
-        for u in b1
-        for w in b2
-    )
+    iso = all(v == 0 for row in pairing_gram(b1, e.pairing, b2) for v in row)
     rep.add_flag("dirac.isotropic", "subbundle is isotropic", iso, "pairing not zero")
     rep.add_flag(
         "dirac.maximal",
@@ -647,7 +667,7 @@ def _subbundle_tables(e: LWXStructure, sub: Subbundle) -> FrameTables:
     bases: base-polynomial coefficients, or None where it leaves them."""
     ch, b1, b2 = e.chart, sub.basis1, sub.basis2
     return pull_back(LWXOps(e), const_frame(ch, b1), const_frame(ch, b2),
-                     lambda v: polyvec_expand(b1, v, ch), lambda v: polyvec_expand(b2, v, ch))
+                     polyvec_expander(b1, e.d1, ch), polyvec_expander(b2, e.d2, ch))
 
 
 def _restriction(x: FrameTables, ch: Chart) -> Lie2Structure:
@@ -697,24 +717,8 @@ def extract_bialgebroid(e: LWXStructure, sub_a: Subbundle, sub_b: Subbundle):
         raise ValueError("both subbundles must be strictly closed")
 
     # normalize the second half so S(a1_i, b2_j) = delta and S(b1_k, a2_l) = delta
-    gram1 = [
-        [
-            sum(sub_a.basis1[i][x] * e.pairing[x][y] * sub_b.basis2[j][y]
-                for x in range(d) for y in range(d))
-            for j in range(rb2)
-        ]
-        for i in range(ra1)
-    ]
-    gram2 = [
-        [
-            sum(sub_b.basis1[k][x] * e.pairing[x][y] * sub_a.basis2[l][y]
-                for x in range(d) for y in range(d))
-            for l in range(ra2)
-        ]
-        for k in range(rb1)
-    ]
-    inv1 = invert(gram1)
-    inv2 = invert(gram2)
+    inv1 = invert(pairing_gram(sub_a.basis1, e.pairing, sub_b.basis2))
+    inv2 = invert(pairing_gram(sub_b.basis1, e.pairing, sub_a.basis2))
     rep.add_flag("manin.nondegenerate", "pairing between the halves is nondegenerate",
                  inv1 is not None and inv2 is not None, "singular cross pairing")
     if inv1 is None or inv2 is None:
@@ -798,12 +802,8 @@ def build_graph(pair: BialgebroidPair, m: MCElement):
                  "; ".join(r.check_id for r in ax.failures[:4]))
 
     # the graph is isotropic whenever the pairing tensor is used symmetrically
-    iso = all(
-        sum(u[a] * hyperbolic_pairing(r1, r2)[a][mm] * w[mm]
-            for a in range(d) for mm in range(d)) == 0
-        for u in basis1
-        for w in basis2
-    )
+    gram = pairing_gram(basis1, hyperbolic_pairing(r1, r2), basis2)
+    iso = all(v == 0 for row in gram for v in row)
     rep.add_flag("graph.isotropic", "graph is isotropic", iso, "pairing not zero")
     return graph, carried, rep
 
@@ -817,11 +817,7 @@ def check_weak_dirac(e: LWXStructure, struct: Lie2Structure, fdata: MorphismData
     cols2 = [[fdata.f2[mm][j] for mm in range(d)] for j in range(rL2)]
     rep.add_flag("weak.injective", "frame maps are injective",
                  rank(cols1) == rL1 and rank(cols2) == rL2, "rank drop")
-    iso = all(
-        sum(u[a] * e.pairing[a][mm] * w[mm] for a in range(d) for mm in range(d)) == 0
-        for u in cols1
-        for w in cols2
-    )
+    iso = all(v == 0 for row in pairing_gram(cols1, e.pairing, cols2) for v in row)
     rep.add_flag("weak.isotropic", "image is isotropic", iso, "pairing not zero")
     rep.add_flag("weak.maximal", "image dimensions add up to the frame size",
                  rL1 + rL2 == d, f"dim {rL1}+{rL2} != {d}")
@@ -844,13 +840,7 @@ def lwx_transport(e: LWXStructure, t1, t2) -> LWXStructure:
     """Structure tensors in new frames (rows of t1, t2); the pairing of the
     new frames must again be the canonical hyperbolic one."""
     t = frame_change(LWXOps(e), t1, t2)
-    d = e.d1
     pairing = hyperbolic_pairing(e.chart.rank1, e.chart.rank2)
-    for a in range(d):
-        for mm in range(d):
-            val = sum(
-                t1[a][x] * e.pairing[x][y] * t2[mm][y] for x in range(d) for y in range(d)
-            )
-            if val != pairing[a][mm]:
-                raise ValueError("frame change does not preserve the canonical pairing")
+    if pairing_gram(t1, e.pairing, t2) != pairing:
+        raise ValueError("frame change does not preserve the canonical pairing")
     return LWXStructure(e.chart, t.l1, t.anchor, t.l11, t.l12, t.l21, t.l3, pairing)

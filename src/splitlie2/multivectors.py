@@ -38,7 +38,14 @@ from .gradedpoly import (
 )
 from .linalg import solve_affine
 from .report import CheckReport
-from .structures import Lie2Ops, Lie2Structure, basis_vector, encode_mu, linear_components
+from .structures import (
+    Lie2Ops,
+    Lie2Structure,
+    basis_vector,
+    encode_mu,
+    linear_components,
+    signed_permutations,
+)
 
 MULTIVECTOR_KINDS = {X, XID, THD, UNK}
 
@@ -214,11 +221,8 @@ class MCElement:
         r2 = self.chart.rank2
         t = [[[Poly.zero(self.chart) for _ in range(r2)] for _ in range(r2)] for _ in range(r2)]
         for (i, j, l), c in self.k.items():
-            for perm, sign in _PERMS3:
-                a, b, d = (i - 1, j - 1, l - 1)
-                trip = (a, b, d)
-                p = tuple(trip[q] for q in perm)
-                t[p[0]][p[1]][p[2]] = sign * c
+            for (a, b, d), sign in signed_permutations((i - 1, j - 1, l - 1)):
+                t[a][b][d] = sign * c
         return t
 
     def h_sharp(self, j2: int):
@@ -227,16 +231,6 @@ class MCElement:
 
     def h_nat(self, j1: int):
         return [self.h[j1][j] for j in range(self.chart.rank2)]
-
-
-_PERMS3 = [
-    ((0, 1, 2), 1),
-    ((1, 2, 0), 1),
-    ((2, 0, 1), 1),
-    ((1, 0, 2), -1),
-    ((0, 2, 1), -1),
-    ((2, 1, 0), -1),
-]
 
 
 def mc_residual(s: Lie2Structure, m: MCElement):

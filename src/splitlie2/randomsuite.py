@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .builtin import killing_form
 from .gradedpoly import Chart, Poly, X
-from .structures import Lie2Structure, transport
+from .structures import Lie2Structure, signed_permutations, transport
 
 _LIE_ALGEBRAS = {
     "abelian2": (2, {}),
@@ -148,12 +148,8 @@ def perturb_structure(s: Lie2Structure, rng: random.Random) -> Lie2Structure:
     else:
         i, j, k = rng.sample(range(r1), 3)
         l = rng.randrange(r2)
-        base = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-                (1, 0, 2): -1, (0, 2, 1): -1, (2, 1, 0): -1}
-        trip = (i, j, k)
-        for perm, sign in base.items():
-            p = tuple(trip[q] for q in perm)
-            out.mu5[p[0]][p[1]][p[2]][l] = out.mu5[p[0]][p[1]][p[2]][l] + bump * sign
+        for (a, b, c), sign in signed_permutations((i, j, k)):
+            out.mu5[a][b][c][l] = out.mu5[a][b][c][l] + bump * sign
     return out
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .gradedpoly import Chart, Poly, X
 from .multivectors import MCElement
 from .report import render_json
-from .structures import Lie2Structure, MorphismData
+from .structures import Lie2Structure, MorphismData, signed_permutations
 from .lwx import LWXStructure, Subbundle, hyperbolic_pairing
 
 FORMAT_VERSION = 1
@@ -124,16 +124,6 @@ def _render_value(p: Poly):
     return out
 
 
-def _perm3_signs(trip):
-    (i, j, k) = trip
-    yield (i, j, k), 1
-    yield (j, k, i), 1
-    yield (k, i, j), 1
-    yield (j, i, k), -1
-    yield (i, k, j), -1
-    yield (k, j, i), -1
-
-
 def _load_sparse(chart, entries, shape, name, alt_slots=0, allow_unknown=False):
     """Tensor from sparse entries; first alt_slots indices alternate."""
     def build(dims):
@@ -173,7 +163,7 @@ def _load_sparse(chart, entries, shape, name, alt_slots=0, allow_unknown=False):
             trip = key[:3]
             if len(set(trip)) < 3 and not (val is UNKNOWN or val.is_zero):
                 raise StructureFileError(where, "repeated slot of an alternating tensor")
-            images = [(p + key[3:], val, sg) for p, sg in _perm3_signs(trip)]
+            images = [(p + key[3:], val, sg) for p, sg in signed_permutations(trip)]
         for slot, v, sg in images:
             if v is UNKNOWN:
                 newv = UNKNOWN
@@ -399,15 +389,16 @@ def parse_structure_file(text: str) -> StructureFile:
     if "lwx" in doc:
         lb = _object(doc["lwx"], "lwx")
         d = r1 + r2
-        e = LWXStructure.empty(ch)
-        e.partial = _load_sparse(ch, lb.get("partial"), (d, d), "lwx.partial")
-        e.rho = _load_sparse(ch, lb.get("rho"), (d, n), "lwx.rho")
-        e.c11 = _load_sparse(ch, lb.get("c11"), (d, d, d), "lwx.c11", alt_slots=2)
-        e.c12 = _load_sparse(ch, lb.get("c12"), (d, d, d), "lwx.c12")
-        e.c21 = _load_sparse(ch, lb.get("c21"), (d, d, d), "lwx.c21")
-        e.omega = _load_sparse(ch, lb.get("omega"), (d, d, d, d), "lwx.omega", alt_slots=3)
-        e.pairing = hyperbolic_pairing(r1, r2)
-        sf.lwx = e
+        sf.lwx = LWXStructure(
+            ch,
+            _load_sparse(ch, lb.get("partial"), (d, d), "lwx.partial"),
+            _load_sparse(ch, lb.get("rho"), (d, n), "lwx.rho"),
+            _load_sparse(ch, lb.get("c11"), (d, d, d), "lwx.c11", alt_slots=2),
+            _load_sparse(ch, lb.get("c12"), (d, d, d), "lwx.c12"),
+            _load_sparse(ch, lb.get("c21"), (d, d, d), "lwx.c21"),
+            _load_sparse(ch, lb.get("omega"), (d, d, d, d), "lwx.omega", alt_slots=3),
+            hyperbolic_pairing(r1, r2),
+        )
     return sf
 
 
@@ -419,15 +410,8 @@ def structure_block(s: Lie2Structure, extra=None) -> dict:
         "base_dim": ch.base_dim,
         "rank1": ch.rank1,
         "rank2": ch.rank2,
-        "mu1": _dump_sparse(s.mu1, (ch.rank1, ch.base_dim)),
-        "mu2": _dump_sparse(s.mu2, (ch.rank2, ch.rank1)),
-        "mu3": _dump_sparse(s.mu3, (ch.rank1,) * 3, alt_slots=2),
-        "mu4": _dump_sparse(s.mu4, (ch.rank1, ch.rank2, ch.rank2)),
-        "mu5": _dump_sparse(s.mu5, (ch.rank1,) * 3 + (ch.rank2,), alt_slots=3),
+        **dual_block(s),
     }
-    for name in ("mu1", "mu2", "mu3", "mu4", "mu5"):
-        if not doc[name]:
-            del doc[name]
     if extra:
         doc.update(extra)
     return doc
@@ -438,6 +422,8 @@ def render_structure(s: Lie2Structure, extra=None) -> str:
 
 
 def dual_block(dual: Lie2Structure):
+    """The nonempty mu1..mu5 blocks of a structure, in that order: a gamma
+    block, and the body of a structure file."""
     ch = dual.chart
     block = {
         "mu1": _dump_sparse(dual.mu1, (ch.rank1, ch.base_dim)),

@@ -99,6 +99,13 @@ def alternation_failures(t, shape, arity):
     return bad
 
 
+def signed_permutations(trip):
+    """(permuted triple, sign) for the six permutations of a triple."""
+    i, j, k = trip
+    return [((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
+            ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1)]
+
+
 @dataclass
 class Lie2Structure:
     chart: Chart
@@ -403,6 +410,20 @@ def const_frame(chart, rows):
     return [[Poly.const(chart, c) for c in row] for row in rows]
 
 
+def combine(coeffs, frame, width, chart):
+    """sum_b coeffs[b] * frame[b] on chart: base-polynomial coefficients
+    against rational rows of length width.  Zero coefficients and zero row
+    entries are skipped."""
+    out = [Poly.zero(chart)] * width
+    for c, row in zip(coeffs, frame):
+        if c.terms:
+            c = c.lift(chart)
+            for a, q in enumerate(row):
+                if q:
+                    out[a] = out[a] + c * q
+    return out
+
+
 def pull_back(ops, B1, B2, re1, re2) -> FrameTables:
     """frame_tables on (B1, B2), with each degree -1 section value mapped by
     re1 and each degree -2 one by re2."""
@@ -419,16 +440,9 @@ def frame_change(ops, t1, t2) -> FrameTables:
     if inv1 is None or inv2 is None:
         raise ValueError("frame change must be invertible")
     ch = ops.chart
-
-    def written_in(inv):
-        size = len(inv)
-        return lambda vec: [
-            sum((vec[b] * Fraction(inv[b][a]) for b in range(size)), Poly.zero(ch))
-            for a in range(size)
-        ]
-
     return pull_back(ops, const_frame(ch, t1), const_frame(ch, t2),
-                     written_in(inv1), written_in(inv2))
+                     lambda v: combine(v, inv1, len(inv1), ch),
+                     lambda v: combine(v, inv2, len(inv2), ch))
 
 
 # -- generating function ------------------------------------------------------
@@ -822,37 +836,15 @@ class MorphismData:
         return True
 
 
-def _push(matrix, vec, chart):
-    out_dim = len(matrix)
-    out = [Poly.zero(chart) for _ in range(out_dim)]
-    for a in range(out_dim):
-        for b in range(len(vec)):
-            c = matrix[a][b]
-            if c:
-                out[a] = out[a] + vec[b].lift(chart) * Fraction(c)
-    return out
-
-
-def _apply_f3(f3, xv, yv, chart, out_dim):
-    out = [Poly.zero(chart) for _ in range(out_dim)]
-    for a in range(len(xv)):
-        for b in range(len(yv)):
-            c = xv[a] * yv[b]
-            if c.is_zero:
-                continue
-            c = c.lift(chart)
-            for k in range(out_dim):
-                if f3[a][b][k]:
-                    out[k] = out[k] + c * Fraction(f3[a][b][k])
-    return out
-
-
 def check_morphism(fdata: MorphismData, dom_ops, cod_ops) -> CheckReport:
     """Morphism equations from one 2-term bracket system to another.
 
     The codomain may be any ops object (a Lie structure, a Leibniz variant,
     or the section calculus of a metric double); the domain supplies the
-    brackets being transported.
+    brackets being transported.  The domain brackets are read from its
+    unit frame tables, the codomain ones from its tables on the images of
+    the unit frames (the columns of f1 and f2); only the brackets with an
+    F3 argument are evaluated afresh.
     """
     report = CheckReport("morphism")
     ch = dom_ops.chart
@@ -865,24 +857,27 @@ def check_morphism(fdata: MorphismData, dom_ops, cod_ops) -> CheckReport:
         raise ShapeError("f1 has wrong shape")
     if len(fdata.f2) != r2c or (fdata.f2 and len(fdata.f2[0]) != r2d):
         raise ShapeError("f2 has wrong shape")
-    e = lambda i: basis_vector(ch, r1d, i)
-    f = lambda j: basis_vector(ch, r2d, j)
-    push1 = lambda v: _push(fdata.f1, v, cch)
-    push2 = lambda v: _push(fdata.f2, v, cch)
-    f3 = lambda u, v: _apply_f3(fdata.f3, u, v, cch, r2c)
+    # the images of the unit frames, and F3(e_i, e_j)
+    cols1 = [[row[i] for row in fdata.f1] for i in range(r1d)]
+    cols2 = [[row[j] for row in fdata.f2] for j in range(r2d)]
+    F3 = [const_frame(cch, plane) for plane in fdata.f3]
+    push1 = lambda v: combine(v, cols1, r1c, cch)
+    push2 = lambda v: combine(v, cols2, r2c, cch)
+    f3_left = lambda i, v: combine(v, fdata.f3[i], r2c, cch)  # F3(e_i, v)
+    f3_right = lambda v, k: combine(v, [plane[k] for plane in fdata.f3], r2c, cch)  # F3(v, e_k)
+    td = unit_frame_tables(dom_ops)
+    tc = frame_tables(cod_ops, const_frame(cch, cols1), const_frame(cch, cols2))
 
     # reported, not required: some targets only need a Leibniz-style morphism
     report.meta["f3_skew"] = fdata.is_f3_skew()
 
     for j in range(r2d):
-        m = f(j)
-        res = vec_sub(push1(dom_ops.l1(m)), cod_ops.l1(push2(m)))
+        res = vec_sub(push1(td.l1[j]), tc.l1[j])
         report.add(f"morphism.chain[{j + 1}]", "F1 d = d' F2", res)
     for i in range(r1d):
         for j in range(r1d):
-            x, y = e(i), e(j)
-            res = vec_sub(push1(dom_ops.l2_11(x, y)), cod_ops.l2_11(push1(x), push1(y)))
-            res = vec_sub(res, cod_ops.l1(f3(x, y)))
+            res = vec_sub(push1(td.l11[i][j]), tc.l11[i][j])
+            res = vec_sub(res, cod_ops.l1(F3[i][j]))
             report.add(
                 f"morphism.sq11[{i + 1},{j + 1}]",
                 "F1 l2(x,y) - l2'(F1x,F1y) = d' F3(x,y)",
@@ -890,16 +885,15 @@ def check_morphism(fdata: MorphismData, dom_ops, cod_ops) -> CheckReport:
             )
     for i in range(r1d):
         for j in range(r2d):
-            x, m = e(i), f(j)
-            res = vec_sub(push2(dom_ops.l2_12(x, m)), cod_ops.l2_12(push1(x), push2(m)))
-            res = vec_sub(res, f3(x, dom_ops.l1(m)))
+            res = vec_sub(push2(td.l12[i][j]), tc.l12[i][j])
+            res = vec_sub(res, f3_left(i, td.l1[j]))
             report.add(
                 f"morphism.sq12[{i + 1},{j + 1}]",
                 "F2 l2(x,m) - l2'(F1x,F2m) = F3(x, d m)",
                 res,
             )
-            res = vec_sub(push2(dom_ops.l2_21(m, x)), cod_ops.l2_21(push2(m), push1(x)))
-            res = vec_add(res, f3(dom_ops.l1(m), x))
+            res = vec_sub(push2(td.l21[j][i]), tc.l21[j][i])
+            res = vec_add(res, f3_right(td.l1[j], i))
             report.add(
                 f"morphism.sq21[{i + 1},{j + 1}]",
                 "F2 l2(m,x) - l2'(F2m,F1x) = -F3(d m, x)",
@@ -908,15 +902,14 @@ def check_morphism(fdata: MorphismData, dom_ops, cod_ops) -> CheckReport:
     for i in range(r1d):
         for j in range(r1d):
             for k in range(r1d):
-                x, y, z = e(i), e(j), e(k)
-                total = vec_scale(push2(dom_ops.l3(x, y, z)), -1)
-                total = vec_add(total, cod_ops.l2_12(push1(x), f3(y, z)))
-                total = vec_sub(total, cod_ops.l2_12(push1(y), f3(x, z)))
-                total = vec_add(total, cod_ops.l2_21(f3(x, y), push1(z)))
-                total = vec_sub(total, f3(dom_ops.l2_11(x, y), z))
-                total = vec_add(total, f3(x, dom_ops.l2_11(y, z)))
-                total = vec_sub(total, f3(y, dom_ops.l2_11(x, z)))
-                total = vec_add(total, cod_ops.l3(push1(x), push1(y), push1(z)))
+                total = vec_scale(push2(td.l3[i][j][k]), -1)
+                total = vec_add(total, cod_ops.l2_12(tc.b1[i], F3[j][k]))
+                total = vec_sub(total, cod_ops.l2_12(tc.b1[j], F3[i][k]))
+                total = vec_add(total, cod_ops.l2_21(F3[i][j], tc.b1[k]))
+                total = vec_sub(total, f3_right(td.l11[i][j], k))
+                total = vec_add(total, f3_left(i, td.l11[j][k]))
+                total = vec_sub(total, f3_left(j, td.l11[i][k]))
+                total = vec_add(total, tc.l3[i][j][k])
                 report.add(
                     f"morphism.hept[{i + 1},{j + 1},{k + 1}]",
                     "heptagon relation between l3, l3' and F3",
@@ -924,9 +917,7 @@ def check_morphism(fdata: MorphismData, dom_ops, cod_ops) -> CheckReport:
                 )
     for i in range(r1d):
         for m in range(ch.base_dim):
-            res = cod_ops.anchor(push1(e(i)), x_(cch, m + 1)) - dom_ops.anchor(
-                e(i), x_(ch, m + 1)
-            ).lift(cch)
+            res = tc.anchor[i][m] - td.anchor[i][m].lift(cch)
             report.add(f"morphism.anchor[{i + 1},{m + 1}]", "a' F1 = a", res)
     return report
 

@@ -184,7 +184,8 @@ def induced_dual_structure(s: Lie2Structure, m: MCElement, require_flat=True):
 
 
 class BialgebroidPair:
-    """A structure and a dual structure sharing the (2,1,1) component."""
+    """A structure and a dual structure sharing the (2,1,1) component; alg
+    is the SAlgebra of the structure, shared by the checks of the pair."""
 
     def __init__(self, s: Lie2Structure, dual: Lie2Structure):
         self.s = s
@@ -192,7 +193,8 @@ class BialgebroidPair:
         self.chart = s.chart
         if dual.chart != s.chart.swapped():
             raise ValueError("dual structure must live on the swapped chart")
-        self.mu = SAlgebra(s).mu
+        self.alg = SAlgebra(s)
+        self.mu = self.alg.mu
         self.gamma = encode_gamma(dual, s.chart)
         self.mu211 = self.mu.project_tridegree((2, 1, 1))
         g211 = self.gamma.project_tridegree((2, 1, 1))
@@ -220,8 +222,7 @@ def check_bialgebroid(pair: BialgebroidPair, derivation_checks=True) -> CheckRep
     if not derivation_checks:
         return rep
 
-    s, ch = pair.s, pair.chart
-    alg = SAlgebra(s)
+    ch, alg = pair.chart, pair.alg
     gamma = pair.gamma
     g112 = gamma.project_tridegree((1, 1, 2))
 
@@ -305,7 +306,7 @@ def relative_mc_residual(pair: BialgebroidPair, m: MCElement):
     Normalized so that for the trivial dual the three components reduce
     exactly to the plain flatness components.
     """
-    alg = SAlgebra(pair.s)
+    alg = pair.alg
     gamma = pair.gamma
     g211 = gamma.project_tridegree((2, 1, 1))
     g112 = gamma.project_tridegree((1, 1, 2))

@@ -3,13 +3,39 @@
 These are the loops ``structures.Lie2Ops`` and ``lwx.LWXOps`` ran before
 they iterated over nonzero data only: every index of every structure
 tensor, zero or not.  ``test_ops_differential.py`` compares the two
-exactly.  This module is test-only; the package keeps one implementation.
+exactly.  ``invert`` is a copy of the package's matrix inverse from before
+its elimination loop was shared with ``rank`` and ``solve_affine``.  This
+module is test-only; the package keeps one implementation.
 """
 
+from fractions import Fraction
+
 from splitlie2.gradedpoly import Poly
-from splitlie2.linalg import invert
 from splitlie2.lwx import LWXStructure
 from splitlie2.structures import d_dx
+
+
+def _frac_matrix(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+def invert(rows):
+    """Inverse of a square rational matrix, or None if singular."""
+    m = _frac_matrix(rows)
+    n = len(m)
+    aug = [m[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [v * inv for v in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
 
 
 class DenseLie2Ops:

@@ -10,6 +10,14 @@ versions from before they read ``frame_tables``, and ``polyvec_in_span``
 the closure test ``check_strict_dirac`` used before the closure tests and
 the restriction shared one expansion.  ``test_axiom_tables.py``
 compares them with the package record by record and tensor by tensor.
+
+The linear algebra (``rank``, ``invert``, ``solve_affine``, ``in_span``,
+``expand_in_basis``) is the package's from before its three elimination
+loops became one; ``polyvec_expand`` is the expansion that row-reduced the
+basis again for every monomial; ``check_morphism`` with ``_push`` and
+``_apply_f3`` is the morphism check from before it read frame tables, and
+``check_weak_dirac`` and ``extract_bialgebroid`` are the versions with
+their own pairing sums.  ``test_frame_algebra.py`` compares them.
 This module is test-only; the package keeps one implementation.
 """
 
@@ -17,17 +25,151 @@ import itertools
 from fractions import Fraction
 
 from splitlie2.gradedpoly import Chart, Poly, x_
-from splitlie2.linalg import in_span, invert, rank
-from splitlie2.lwx import LWXOps, LWXStructure, Subbundle, _polyvec_rows, polyvec_expand
+from splitlie2.lwx import LWXOps, LWXStructure, Subbundle
 from splitlie2.report import CheckReport
 from splitlie2.structures import (
     Lie2Ops,
     Lie2Structure,
+    MorphismData,
+    ShapeError,
     basis_vector,
     vec_add,
     vec_scale,
     vec_sub,
 )
+from splitlie2.twisting import BialgebroidPair, check_bialgebroid
+
+
+def _frac_matrix(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+def rank(rows) -> int:
+    m = _frac_matrix(rows)
+    if not m:
+        return 0
+    nrow, ncol = len(m), len(m[0])
+    r = 0
+    for c in range(ncol):
+        piv = next((i for i in range(r, nrow) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(nrow):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+        if r == nrow:
+            break
+    return r
+
+
+def invert(rows):
+    """Inverse of a square rational matrix, or None if singular."""
+    m = _frac_matrix(rows)
+    n = len(m)
+    aug = [m[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [v * inv for v in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def solve_affine(a_rows, b_col):
+    """Solve A x = b exactly.
+
+    Returns (particular, nullspace_basis) or None when inconsistent.
+    A zero-column system (no unknowns) is consistent iff b = 0.
+    """
+    nrow = len(a_rows)
+    ncol = len(a_rows[0]) if a_rows else 0
+    aug = [[Fraction(v) for v in a_rows[i]] + [Fraction(b_col[i])] for i in range(nrow)]
+    pivots = []
+    r = 0
+    for c in range(ncol):
+        piv = next((i for i in range(r, nrow) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(nrow):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrow:
+            break
+    for i in range(r, nrow):
+        if aug[i][ncol] != 0:
+            return None
+    particular = [Fraction(0)] * ncol
+    for i, c in enumerate(pivots):
+        particular[c] = aug[i][ncol]
+    free = [c for c in range(ncol) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncol
+        v[fc] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -aug[i][fc]
+        basis.append(v)
+    return particular, basis
+
+
+def in_span(basis_vectors, vector) -> bool:
+    """Exact membership of a rational vector in the span of basis vectors."""
+    if all(v == 0 for v in vector):
+        return True
+    if not basis_vectors:
+        return False
+    cols = list(zip(*basis_vectors))
+    sol = solve_affine([list(row) for row in cols], list(vector))
+    return sol is not None
+
+
+def expand_in_basis(basis_vectors, vector):
+    """Coefficients expressing vector in the given basis, or None."""
+    if not basis_vectors:
+        return None if any(v != 0 for v in vector) else []
+    cols = list(zip(*basis_vectors))
+    sol = solve_affine([list(row) for row in cols], list(vector))
+    return None if sol is None else sol[0]
+
+
+def _polyvec_rows(vec):
+    """Monomial -> rational coefficient row for a vector of base polys."""
+    rows = {}
+    width = len(vec)
+    for pos, p in enumerate(vec):
+        for mono, c in p.terms.items():
+            rows.setdefault(mono, [Fraction(0)] * width)[pos] = c
+    return rows
+
+
+def polyvec_expand(basis, vec, chart):
+    """Base-polynomial coefficients expressing vec in the rational basis."""
+    coeffs = [Poly.zero(chart) for _ in basis]
+    for mono, row in _polyvec_rows(vec).items():
+        sol = expand_in_basis(basis, row)
+        if sol is None:
+            return None
+        for i, c in enumerate(sol):
+            if c:
+                coeffs[i] = coeffs[i] + Poly(chart, {mono: c})
+    return coeffs
 
 
 def _vecstr(v):
@@ -491,3 +633,196 @@ def lwx_transport(e: LWXStructure, t1, t2) -> LWXStructure:
             for c in range(d):
                 out.omega[a][b][c] = re2(ops.l3(b1[a], b1[b], b1[c]))
     return out
+
+
+def _push(matrix, vec, chart):
+    out_dim = len(matrix)
+    out = [Poly.zero(chart) for _ in range(out_dim)]
+    for a in range(out_dim):
+        for b in range(len(vec)):
+            c = matrix[a][b]
+            if c:
+                out[a] = out[a] + vec[b].lift(chart) * Fraction(c)
+    return out
+
+
+def _apply_f3(f3, xv, yv, chart, out_dim):
+    out = [Poly.zero(chart) for _ in range(out_dim)]
+    for a in range(len(xv)):
+        for b in range(len(yv)):
+            c = xv[a] * yv[b]
+            if c.is_zero:
+                continue
+            c = c.lift(chart)
+            for k in range(out_dim):
+                if f3[a][b][k]:
+                    out[k] = out[k] + c * Fraction(f3[a][b][k])
+    return out
+
+
+def check_morphism(fdata: MorphismData, dom_ops, cod_ops) -> CheckReport:
+    """Morphism equations from one 2-term bracket system to another.
+
+    The codomain may be any ops object (a Lie structure, a Leibniz variant,
+    or the section calculus of a metric double); the domain supplies the
+    brackets being transported.
+    """
+    report = CheckReport("morphism")
+    ch = dom_ops.chart
+    cch = cod_ops.chart
+    if ch.base_dim != cch.base_dim:
+        raise ShapeError("domain and codomain live over different bases")
+    r1d, r2d = dom_ops.r1, dom_ops.r2
+    r1c, r2c = cod_ops.r1, cod_ops.r2
+    if len(fdata.f1) != r1c or (fdata.f1 and len(fdata.f1[0]) != r1d):
+        raise ShapeError("f1 has wrong shape")
+    if len(fdata.f2) != r2c or (fdata.f2 and len(fdata.f2[0]) != r2d):
+        raise ShapeError("f2 has wrong shape")
+    e = lambda i: basis_vector(ch, r1d, i)
+    f = lambda j: basis_vector(ch, r2d, j)
+    push1 = lambda v: _push(fdata.f1, v, cch)
+    push2 = lambda v: _push(fdata.f2, v, cch)
+    f3 = lambda u, v: _apply_f3(fdata.f3, u, v, cch, r2c)
+
+    # reported, not required: some targets only need a Leibniz-style morphism
+    report.meta["f3_skew"] = fdata.is_f3_skew()
+
+    for j in range(r2d):
+        m = f(j)
+        res = vec_sub(push1(dom_ops.l1(m)), cod_ops.l1(push2(m)))
+        report.add(f"morphism.chain[{j + 1}]", "F1 d = d' F2", res)
+    for i in range(r1d):
+        for j in range(r1d):
+            x, y = e(i), e(j)
+            res = vec_sub(push1(dom_ops.l2_11(x, y)), cod_ops.l2_11(push1(x), push1(y)))
+            res = vec_sub(res, cod_ops.l1(f3(x, y)))
+            report.add(
+                f"morphism.sq11[{i + 1},{j + 1}]",
+                "F1 l2(x,y) - l2'(F1x,F1y) = d' F3(x,y)",
+                res,
+            )
+    for i in range(r1d):
+        for j in range(r2d):
+            x, m = e(i), f(j)
+            res = vec_sub(push2(dom_ops.l2_12(x, m)), cod_ops.l2_12(push1(x), push2(m)))
+            res = vec_sub(res, f3(x, dom_ops.l1(m)))
+            report.add(
+                f"morphism.sq12[{i + 1},{j + 1}]",
+                "F2 l2(x,m) - l2'(F1x,F2m) = F3(x, d m)",
+                res,
+            )
+            res = vec_sub(push2(dom_ops.l2_21(m, x)), cod_ops.l2_21(push2(m), push1(x)))
+            res = vec_add(res, f3(dom_ops.l1(m), x))
+            report.add(
+                f"morphism.sq21[{i + 1},{j + 1}]",
+                "F2 l2(m,x) - l2'(F2m,F1x) = -F3(d m, x)",
+                res,
+            )
+    for i in range(r1d):
+        for j in range(r1d):
+            for k in range(r1d):
+                x, y, z = e(i), e(j), e(k)
+                total = vec_scale(push2(dom_ops.l3(x, y, z)), -1)
+                total = vec_add(total, cod_ops.l2_12(push1(x), f3(y, z)))
+                total = vec_sub(total, cod_ops.l2_12(push1(y), f3(x, z)))
+                total = vec_add(total, cod_ops.l2_21(f3(x, y), push1(z)))
+                total = vec_sub(total, f3(dom_ops.l2_11(x, y), z))
+                total = vec_add(total, f3(x, dom_ops.l2_11(y, z)))
+                total = vec_sub(total, f3(y, dom_ops.l2_11(x, z)))
+                total = vec_add(total, cod_ops.l3(push1(x), push1(y), push1(z)))
+                report.add(
+                    f"morphism.hept[{i + 1},{j + 1},{k + 1}]",
+                    "heptagon relation between l3, l3' and F3",
+                    total,
+                )
+    for i in range(r1d):
+        for m in range(ch.base_dim):
+            res = cod_ops.anchor(push1(e(i)), x_(cch, m + 1)) - dom_ops.anchor(
+                e(i), x_(ch, m + 1)
+            ).lift(cch)
+            report.add(f"morphism.anchor[{i + 1},{m + 1}]", "a' F1 = a", res)
+    return report
+
+
+def check_weak_dirac(e: LWXStructure, struct: Lie2Structure, fdata: MorphismData) -> CheckReport:
+    """Injective image, maximal isotropy, morphism property, matching anchors."""
+    rep = CheckReport("weak-dirac")
+    d = e.d1
+    rL1, rL2 = struct.chart.rank1, struct.chart.rank2
+    cols1 = [[fdata.f1[a][i] for a in range(d)] for i in range(rL1)]
+    cols2 = [[fdata.f2[mm][j] for mm in range(d)] for j in range(rL2)]
+    rep.add_flag("weak.injective", "frame maps are injective",
+                 rank(cols1) == rL1 and rank(cols2) == rL2, "rank drop")
+    iso = all(
+        sum(u[a] * e.pairing[a][mm] * w[mm] for a in range(d) for mm in range(d)) == 0
+        for u in cols1
+        for w in cols2
+    )
+    rep.add_flag("weak.isotropic", "image is isotropic", iso, "pairing not zero")
+    rep.add_flag("weak.maximal", "image dimensions add up to the frame size",
+                 rL1 + rL2 == d, f"dim {rL1}+{rL2} != {d}")
+    mor = check_morphism(fdata, Lie2Ops(struct), LWXOps(e))
+    rep.extend(mor)
+    return rep
+
+
+def extract_bialgebroid(e: LWXStructure, sub_a: Subbundle, sub_b: Subbundle):
+    """Two transversal strict halves determine a compatible pair.
+
+    Returns (pair, report).  The second half is renormalized through the
+    pairing so it acts as the dual of the first: its restriction is carried
+    to the normalized frame by a constant frame change.
+    """
+    rep = CheckReport("manin-extraction")
+    d = e.d1
+    ra1, ra2 = len(sub_a.basis1), len(sub_a.basis2)
+    rb1, rb2 = len(sub_b.basis1), len(sub_b.basis2)
+    trans1 = rank(sub_a.basis1 + sub_b.basis1) == d and ra1 + rb1 == d
+    trans2 = rank(sub_a.basis2 + sub_b.basis2) == d and ra2 + rb2 == d
+    rep.add_flag("manin.transversal", "halves are transversal in each degree",
+                 trans1 and trans2, f"got dims ({ra1},{rb1}) and ({ra2},{rb2})")
+    if not (trans1 and trans2):
+        raise ValueError("subbundles are not transversal")
+    ra, s_a = check_strict_dirac(e, sub_a)
+    rb, s_b = check_strict_dirac(e, sub_b)
+    rep.add_flag("manin.strictA", "first half is strictly closed", ra.passed,
+                 "; ".join(r.check_id for r in ra.failures[:3]))
+    rep.add_flag("manin.strictB", "second half is strictly closed", rb.passed,
+                 "; ".join(r.check_id for r in rb.failures[:3]))
+    if not (ra.passed and rb.passed):
+        raise ValueError("both subbundles must be strictly closed")
+
+    # normalize the second half so S(a1_i, b2_j) = delta and S(b1_k, a2_l) = delta
+    gram1 = [
+        [
+            sum(sub_a.basis1[i][x] * e.pairing[x][y] * sub_b.basis2[j][y]
+                for x in range(d) for y in range(d))
+            for j in range(rb2)
+        ]
+        for i in range(ra1)
+    ]
+    gram2 = [
+        [
+            sum(sub_b.basis1[k][x] * e.pairing[x][y] * sub_a.basis2[l][y]
+                for x in range(d) for y in range(d))
+            for l in range(ra2)
+        ]
+        for k in range(rb1)
+    ]
+    inv1 = invert(gram1)
+    inv2 = invert(gram2)
+    rep.add_flag("manin.nondegenerate", "pairing between the halves is nondegenerate",
+                 inv1 is not None and inv2 is not None, "singular cross pairing")
+    if inv1 is None or inv2 is None:
+        raise ValueError("halves do not pair nondegenerately")
+    # new b1_k = sum_q inv2[k][q] b1_q and new b2_j = sum_q inv1[q][j] b2_q:
+    # rows of inv2 and columns of inv1, a constant frame change inside the
+    # second half, so its restriction is carried over rather than rebuilt
+    s_b = transport(s_b, inv2, [list(col) for col in zip(*inv1)])
+    if s_b.chart.rank1 != s_a.chart.rank2 or s_b.chart.rank2 != s_a.chart.rank1:
+        raise ValueError("halves do not have dual ranks")
+    pair = BialgebroidPair(s_a, s_b)
+    bi = check_bialgebroid(pair, derivation_checks=False)
+    rep.add_flag("manin.pair", "extracted pair satisfies the compatibility equation",
+                 bi.passed, "; ".join(r.check_id for r in bi.failures[:3]))
+    return pair, rep
