@@ -4,6 +4,12 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 malformed
 input, 141 stdout closed before the report was written (the shell's status
 after SIGPIPE; not a verdict).  Reports are deterministic for fixed inputs
 apart from the timestamp field.
+
+Every command is a function cmd_x(sf, args) -> (reports, extra): sf is the
+parsed --file, reports a list of CheckReport, and extra None or the blocks
+added to the report body.  _run reads the file, calls the command and emits
+its report, so no command reads a file or prints.  cmd_example (run-all) is
+the one command that reads no file and gets sf None.
 """
 
 from __future__ import annotations
@@ -108,173 +114,146 @@ def _pair_from_file(sf: StructureFile) -> BialgebroidPair:
     return BialgebroidPair.abelian(sf.structure)
 
 
-def cmd_check_structure(args):
-    sf, text = _load(args)
+def _double(sf: StructureFile, cross_check):
+    """(double, build report, pair): the file's lwx block, with no report and
+    no pair, else build_double of the file's pair."""
+    if sf.lwx is not None:
+        return sf.lwx, None, None
+    pair = _pair_from_file(sf)
+    return (*build_double(pair, cross_check=cross_check), pair)
+
+
+def _axiom_reports(s, mu):
+    """Direct axioms, {mu,mu} = 0 for mu = encode_mu(s), and their agreement."""
+    direct, nil = check_lie2_axioms(s), mu_nilpotency_report(mu)
+    return [direct, nil, axioms_vs_nilpotency(direct, nil)]
+
+
+def _graph_reports(e, pair, m):
+    """The graph of m inside e, the pair's double, and its weak Dirac check."""
+    graph, carried, grep = build_graph(pair, m)
+    return [grep, check_weak_dirac(e, carried, graph_morphism_data(e, graph))]
+
+
+def cmd_check_structure(sf, args):
     s = sf.structure
-    direct = check_lie2_axioms(s)
     mu = encode_mu(s)
-    nil = mu_nilpotency_report(mu)
-    reports = [direct, nil, axioms_vs_nilpotency(direct, nil)]
     rt = CheckReport("roundtrip")
     rt.add_flag("roundtrip.mu", "decode(encode(S)) = S",
                 decode_mu(mu, s.chart).equals(s), "tensor mismatch")
-    reports.append(rt)
-    return _emit(args, "check-structure", reports, input_text=text)
+    return _axiom_reports(s, mu) + [rt], None
 
 
-def cmd_check_morphism(args):
-    sf, text = _load(args)
+def cmd_check_morphism(sf, args):
     if sf.morphism is None:
         raise StructureFileError("morphism", "file has no morphism block")
-    rep = check_morphism(sf.morphism, Lie2Ops(sf.structure), Lie2Ops(sf.morphism_codomain))
-    return _emit(args, "check-morphism", [rep], input_text=text)
+    if sf.morphism_codomain == "double":
+        raise StructureFileError("morphism", "codomain 'double' is for dirac-check --weak")
+    return [check_morphism(sf.morphism, Lie2Ops(sf.structure),
+                           Lie2Ops(sf.morphism_codomain))], None
 
 
-def cmd_hp_verify(args):
-    sf, text = _load(args)
+def cmd_hp_verify(sf, args):
     rep = verify_hp_axioms(sf.structure, count=args.count, seed=args.seed,
                            max_shifted_degree=args.max_degree)
-    gen = generator_agreement_report(sf.structure)
-    return _emit(args, "hp-verify", [rep, gen], input_text=text)
+    return [rep, generator_agreement_report(sf.structure)], None
 
 
-def cmd_mc_check(args):
-    sf, text = _load(args)
+def cmd_mc_check(sf, args):
     m = sf.mc_element()
-    reports = [mc_report(sf.structure, m), mce1_condition_check(sf.structure, m)]
-    return _emit(args, "mc-check", reports, input_text=text)
+    return [mc_report(sf.structure, m), mce1_condition_check(sf.structure, m)], None
 
 
-def cmd_mc_solve(args):
-    sf, text = _load(args)
+def cmd_mc_solve(sf, args):
     h_pat, k_pat = sf.mc_patterns()
+    rep = CheckReport("mc-solve")
     try:
         sol = solve_linear_mc(sf.structure, h_pat, k_pat)
     except NonlinearError as exc:
-        rep = CheckReport("mc-solve")
         rep.add_flag("solve.affine", "flatness residual is affine in the unknowns",
                      False, str(exc))
-        return _emit(args, "mc-solve", [rep], input_text=text)
-    rep = CheckReport("mc-solve")
+        return [rep], None
     rep.add_flag("solve.consistent", "affine system has solutions", not sol.is_empty,
                  "inconsistent system")
-    extra = {"solution": {
+    return [rep], {"solution": {
         "unknowns": sol.labels,
         "dimension": sol.dimension,
         "particular": None if sol.is_empty else [str(v) for v in sol.particular],
         "basis": [[str(v) for v in b] for b in sol.basis],
     }}
-    return _emit(args, "mc-solve", [rep], extra=extra, input_text=text)
 
 
-def cmd_twist(args):
-    sf, text = _load(args)
+def cmd_twist(sf, args):
     m = sf.mc_element()
     dual, rep = induced_dual_structure(sf.structure, m)
     gamma = twist_gamma(sf.structure, m)
-    extra = {"gamma": gamma.render(), "dual_structure": dual_block(dual)}
-    return _emit(args, "twist", [rep], extra=extra, input_text=text)
+    return [rep], {"gamma": gamma.render(), "dual_structure": dual_block(dual)}
 
 
-def cmd_bialgebroid_check(args):
-    sf, text = _load(args)
+def cmd_bialgebroid_check(sf, args):
     pair = _pair_from_file(sf)
     reports = [check_bialgebroid(pair)]
     if sf.mc_h is not None or sf.mc_k is not None:
         m = sf.mc_element()
-        reports.append(relative_mc_report(pair, m))
-        lam_rep, _ = lambda_nilpotency(pair, m)
-        reports.append(lam_rep)
-    return _emit(args, "bialgebroid-check", reports, input_text=text)
+        reports += [relative_mc_report(pair, m), lambda_nilpotency(pair, m)[0]]
+    return reports, None
 
 
-def cmd_double(args):
-    sf, text = _load(args)
-    pair = _pair_from_file(sf)
-    e, rep = build_double(pair)
-    return _emit(args, "double", [rep], extra={"lwx": lwx_block(e)}, input_text=text)
+def cmd_double(sf, args):
+    e, rep = build_double(_pair_from_file(sf))
+    return [rep], {"lwx": lwx_block(e)}
 
 
-def cmd_lwx_check(args):
-    sf, text = _load(args)
-    if sf.lwx is not None:
-        e = sf.lwx
-        reports = []
-    else:
-        pair = _pair_from_file(sf)
-        e, rep0 = build_double(pair)
-        reports = [rep0]
-    reports.append(check_lwx_axioms(e))
-    return _emit(args, "lwx-check", reports, input_text=text)
+def cmd_lwx_check(sf, args):
+    e, rep, _ = _double(sf, True)
+    return ([] if rep is None else [rep]) + [check_lwx_axioms(e)], None
 
 
-def cmd_dirac_check(args):
-    sf, text = _load(args)
-    reports = []
-    if sf.lwx is not None:
-        e = sf.lwx
-    else:
-        pair = _pair_from_file(sf)
-        e, rep0 = build_double(pair, cross_check=False)
+def cmd_dirac_check(sf, args):
+    e, _, pair = _double(sf, False)
+    if args.weak and args.graph:
+        return _graph_reports(e, pair or _pair_from_file(sf), sf.mc_element()), None
     if args.weak:
-        if args.graph:
-            pair = _pair_from_file(sf)
-            m = sf.mc_element()
-            graph, carried, grep = build_graph(pair, m)
-            reports.append(grep)
-            fdata = graph_morphism_data(e, graph)
-            reports.append(check_weak_dirac(e, carried, fdata))
-        else:
-            if sf.morphism is None or sf.morphism_codomain is not sf.structure:
-                raise StructureFileError(
-                    "morphism", "weak check needs a morphism block (or --graph)"
-                )
-            reports.append(check_weak_dirac(e, sf.structure, sf.morphism))
-    else:
-        if not sf.subbundles:
-            raise StructureFileError("subbundles", "strict check needs a subbundles block")
-        for name in sorted(sf.subbundles):
-            rep, _ = check_strict_dirac(e, sf.subbundles[name])
-            rep.title = f"strict-dirac[{name}]"
-            rep.records = [
-                type(r)(f"{name}:{r.check_id}", r.law, r.passed, r.residual)
-                for r in rep.records
-            ]
-            reports.append(rep)
-    return _emit(args, "dirac-check", reports, input_text=text)
+        if sf.morphism is None or sf.morphism_codomain != "double":
+            raise StructureFileError(
+                "morphism", "weak check needs a morphism block with codomain 'double' "
+                "(or --graph)")
+        return [check_weak_dirac(e, sf.structure, sf.morphism)], None
+    if not sf.subbundles:
+        raise StructureFileError("subbundles", "strict check needs a subbundles block")
+    reports = []
+    for name in sorted(sf.subbundles):
+        rep, _ = check_strict_dirac(e, sf.subbundles[name])
+        rep.title = f"strict-dirac[{name}]"
+        rep.records = [
+            type(r)(f"{name}:{r.check_id}", r.law, r.passed, r.residual)
+            for r in rep.records
+        ]
+        reports.append(rep)
+    return reports, None
 
 
-def cmd_manin_extract(args):
-    sf, text = _load(args)
-    if sf.lwx is not None:
-        e = sf.lwx
-    else:
-        pair0 = _pair_from_file(sf)
-        e, _ = build_double(pair0, cross_check=False)
+def cmd_manin_extract(sf, args):
+    e, _, _ = _double(sf, False)
     if "A" in sf.subbundles and "B" in sf.subbundles:
         sub_a, sub_b = sf.subbundles["A"], sf.subbundles["B"]
     else:
         sub_a = Subbundle.canonical_half(e.chart)
         sub_b = Subbundle.canonical_dual_half(e.chart)
     pair, rep = extract_bialgebroid(e, sub_a, sub_b)
-    e2, rep2 = build_double(pair, cross_check=False)
+    e2, _ = build_double(pair, cross_check=False)
     rep.add_flag("manin.roundtrip", "double of the extracted pair matches the input",
                  e2.equals(e), "tensors differ")
-    extra = {
-        "extracted": {
-            "structure": structure_block(pair.s),
-            "gamma": dual_block(pair.dual),
-        }
-    }
-    return _emit(args, "manin-extract", [rep], extra=extra, input_text=text)
+    return [rep], {"extracted": {
+        "structure": structure_block(pair.s),
+        "gamma": dual_block(pair.dual),
+    }}
 
 
 def _example_battery(name: str, seed: int, count: int) -> list:
     ex = builtin_example(name)
     s = ex["structure"]
-    direct, nil = check_lie2_axioms(s), mu_nilpotency_report(encode_mu(s))
-    reports = [direct, nil, axioms_vs_nilpotency(direct, nil),
-               verify_calculus_identities(s, 10, seed),
+    reports = [*_axiom_reports(s, encode_mu(s)), verify_calculus_identities(s, 10, seed),
                verify_hp_axioms(s, count=count, seed=seed), generator_agreement_report(s)]
     mcs = ex.get("mc_family") or ([ex["mc"]] if ex.get("mc") else [])
     for i, m in enumerate(mcs):
@@ -290,47 +269,55 @@ def _example_battery(name: str, seed: int, count: int) -> list:
         reports.append(check_bialgebroid(pair))
         e, drep = build_double(pair)
         reports.append(drep)
-        ax = check_lwx_axioms(e)
-        reports.append(ax)
-        for nm, sub in (("A", Subbundle.canonical_half(e.chart)),
-                        ("B", Subbundle.canonical_dual_half(e.chart))):
+        reports.append(check_lwx_axioms(e))
+        halves = Subbundle.canonical_half(e.chart), Subbundle.canonical_dual_half(e.chart)
+        for nm, sub in zip("AB", halves):
             rep, _ = check_strict_dirac(e, sub)
             rep.title = f"strict-dirac[{nm}]"
             reports.append(rep)
-        _, rep = extract_bialgebroid(e, Subbundle.canonical_half(e.chart),
-                                     Subbundle.canonical_dual_half(e.chart))
-        reports.append(rep)
+        reports.append(extract_bialgebroid(e, *halves)[1])
         pair0 = BialgebroidPair.abelian(s)
         e0, _ = build_double(pair0, cross_check=False)
-        graph, carried, grep = build_graph(pair0, mcs[0])
-        reports.append(grep)
-        reports.append(check_weak_dirac(e0, carried, graph_morphism_data(e0, graph)))
+        reports += _graph_reports(e0, pair0, mcs[0])
     return reports
 
 
-def cmd_example(args):
+def cmd_example(sf, args):
+    """example run-all: the battery of every builtin.  list and show print
+    a document, not a report, and run in _show_example."""
+    reports = []
+    for name in example_names():
+        for rep in _example_battery(name, args.seed, max(10, args.count // 5)):
+            rep.title = f"{name}:{rep.title}"
+            reports.append(rep)
+    return reports, None
+
+
+def _show_example(args) -> int:
     if args.action == "list":
         print(render_json({"examples": example_names()}))
         return 0
-    if args.action == "show":
-        if not args.name:
-            print("example show needs a name", file=sys.stderr)
-            return 2
-        ex = builtin_example(args.name)
-        extra = {}
-        if ex.get("mc"):
-            extra.update(mc_blocks(ex["mc"]))
-        print(render_structure(ex["structure"], extra=extra))
-        return 0
-    if args.action == "run-all":
-        reports = []
-        for name in example_names():
-            for rep in _example_battery(name, args.seed, max(10, args.count // 5)):
-                rep.title = f"{name}:{rep.title}"
-                reports.append(rep)
-        return _emit(args, "example run-all", reports)
-    print(f"unknown example action {args.action!r}", file=sys.stderr)
-    return 2
+    if not args.name:
+        print("example show needs a name", file=sys.stderr)
+        return 2
+    ex = builtin_example(args.name)
+    print(render_structure(ex["structure"], extra=ex.get("mc") and mc_blocks(ex["mc"])))
+    return 0
+
+
+def _run(args) -> int:
+    """The one path of every command: read its file, run it, emit its
+    report.  example reads no file, and its list and show emit no report."""
+    if args.command != "example":
+        sf, text = _load(args)
+        command = args.command
+    elif args.action == "run-all":
+        sf = text = None
+        command = "example run-all"
+    else:
+        return _show_example(args)
+    reports, extra = args.fn(sf, args)
+    return _emit(args, command, reports, extra, input_text=text)
 
 
 def _add_common(ap, suppress=False):
@@ -397,7 +384,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         try:
-            code = args.fn(args)
+            code = _run(args)
         except ValueError as exc:  # StructureFileError and ChartMismatchError among them
             print(render_json({"error": str(exc), "exit": 2}))
             code = 2

@@ -41,10 +41,10 @@ from .report import CheckReport
 from .structures import (
     Lie2Ops,
     Lie2Structure,
-    basis_vector,
     encode_mu,
     linear_components,
     signed_permutations,
+    unit_frame_tables,
 )
 
 MULTIVECTOR_KINDS = {X, XID, THD, UNK}
@@ -474,33 +474,29 @@ def generator_agreement_report(s: Lie2Structure) -> CheckReport:
     """Brackets on frame sections equal the tensor-level operations."""
     rep = CheckReport("bracket-generators")
     alg = SAlgebra(s)
-    ops = Lie2Ops(s)
+    t = unit_frame_tables(Lie2Ops(s))
     ch = s.chart
     r1, r2, n = ch.rank1, ch.rank2, ch.base_dim
     for j in range(r2):
         lhs = alg.b1(th_dn(ch, j + 1))
-        rhs = section1(ch, ops.l1(basis_vector(ch, r2, j)))
-        rep.add(f"gen.unary[{j + 1}]", "[F_j] = l1(F_j)", lhs - rhs)
+        rep.add(f"gen.unary[{j + 1}]", "[F_j] = l1(F_j)", lhs - section1(ch, t.l1[j]))
     for i in range(r1):
         for m in range(n):
             lhs = alg.b2(xi_dn(ch, i + 1), x_(ch, m + 1))
-            rhs = ops.anchor(basis_vector(ch, r1, i), x_(ch, m + 1))
-            rep.add(f"gen.anchor[{i + 1},{m + 1}]", "[E_i, f] = a(E_i)(f)", lhs - rhs)
+            rep.add(f"gen.anchor[{i + 1},{m + 1}]", "[E_i, f] = a(E_i)(f)", lhs - t.anchor[i][m])
     for i in range(r1):
         for j in range(r1):
             lhs = alg.b2(xi_dn(ch, i + 1), xi_dn(ch, j + 1))
-            rhs = section1(ch, ops.l2_11(basis_vector(ch, r1, i), basis_vector(ch, r1, j)))
+            rhs = section1(ch, t.l11[i][j])
             rep.add(f"gen.binary11[{i + 1},{j + 1}]", "[E_i, E_j] = l2(E_i, E_j)", lhs - rhs)
     for i in range(r1):
         for j in range(r2):
             lhs = alg.b2(xi_dn(ch, i + 1), th_dn(ch, j + 1))
-            rhs = section2(ch, ops.l2_12(basis_vector(ch, r1, i), basis_vector(ch, r2, j)))
+            rhs = section2(ch, t.l12[i][j])
             rep.add(f"gen.binary12[{i + 1},{j + 1}]", "[E_i, F_j] = l2(E_i, F_j)", lhs - rhs)
     for i, j, k in itertools.product(range(r1), repeat=3):
         lhs = alg.b3(xi_dn(ch, i + 1), xi_dn(ch, j + 1), xi_dn(ch, k + 1))
-        rhs = section2(
-            ch, ops.l3(basis_vector(ch, r1, i), basis_vector(ch, r1, j), basis_vector(ch, r1, k))
-        )
+        rhs = section2(ch, t.l3[i][j][k])
         rep.add(f"gen.ternary[{i + 1},{j + 1},{k + 1}]", "[E_i,E_j,E_k] = l3", lhs - rhs)
     return rep
 

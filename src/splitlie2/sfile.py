@@ -263,7 +263,7 @@ class StructureFile:
         self.mc_k = None
         self.dual = None
         self.morphism = None
-        self.morphism_codomain = None
+        self.morphism_codomain = None  # a Lie2Structure, or "double": the file's double
         self.subbundles = {}
         self.lwx = None
 
@@ -334,20 +334,19 @@ def parse_structure_file(text: str) -> StructureFile:
         mb = _object(doc["morphism"], where)
         cod = mb.get("codomain", "self")
         if cod == "self":
-            cod_chart = ch
+            sf.morphism_codomain = sf.structure
         elif cod == "dual":
             if sf.dual is None:
                 raise StructureFileError(where, "codomain 'dual' needs a gamma block")
-            cod_chart = sf.dual.chart
+            sf.morphism_codomain = sf.dual
         elif isinstance(cod, dict):
             sf.morphism_codomain = _structure_from_block(cod, "morphism.codomain")
-            cod_chart = sf.morphism_codomain.chart
-        else:
+        elif cod != "double":
             raise StructureFileError(where, f"bad codomain {cod!r}")
-        if cod == "dual":
-            sf.morphism_codomain = sf.dual
-        elif cod == "self":
-            sf.morphism_codomain = sf.structure
+        if cod == "double":  # both frames of the double have rank1 + rank2 vectors
+            sf.morphism_codomain, r1c, r2c = cod, r1 + r2, r1 + r2
+        else:
+            r1c, r2c = sf.morphism_codomain.chart.rank1, sf.morphism_codomain.chart.rank2
 
         def matrix(field, rows, cols):
             raw = mb.get(field)
@@ -358,7 +357,6 @@ def parse_structure_file(text: str) -> StructureFile:
                 raise StructureFileError(where, f"{field} must be {rows}x{cols}")
             return out
 
-        r1c, r2c = cod_chart.rank1, cod_chart.rank2
         f1 = matrix("f1", r1c, ch.rank1)
         f2 = matrix("f2", r2c, ch.rank2)
         f3 = [[[Fraction(0)] * r2c for _ in range(ch.rank1)] for _ in range(ch.rank1)]
