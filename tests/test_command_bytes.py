@@ -82,10 +82,6 @@ def _doc(name, m=None):
                                        extra=mc_blocks(m) if m else None))
 
 
-def _ident(d):
-    return [[int(i == j) for j in range(d)] for i in range(d)]
-
-
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Path of each input file, keyed by a readable label."""
@@ -115,7 +111,7 @@ def files(tmp_path_factory):
     write("lsa3+gamma", {**lsa3, "gamma": json.loads(twist)["dual_structure"]})
     _, double, _ = _run("--quiet", "--file", paths["lsa3+gamma"], "double")
     write("lsa3+lwx", {**lsa3, "lwx": json.loads(double)["lwx"]})
-    ident = _ident(6)
+    ident = [[int(i == j) for j in range(6)] for i in range(6)]
     tilted = [[1, 0, 0, 1, 0, 0]] + ident[4:]
     write("lsa3+subbundles", {**lsa3, "subbundles": {
         "A": {"basis1": ident[:3], "basis2": ident[:3]},
