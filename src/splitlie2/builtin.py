@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .gradedpoly import Chart, Poly
 from .multivectors import MCElement
+from .sfile import MAX_BASE_DIM, MAX_RANK
 from .structures import Lie2Structure
 
 _SL2_BRACKET = {
@@ -142,7 +143,8 @@ def example_names():
 
 def builtin_example(name: str) -> dict:
     """Look up an example; parameterized names like 'abelian(2,1)' and
-    'lsa3(5)' are accepted."""
+    'lsa3(5)' are accepted.  An unknown name raises KeyError and a bad
+    parameter ValueError, before any tensor is built."""
     m = re.fullmatch(r"([a-z0-9_]+)(?:\(([^)]*)\))?", name.strip())
     if not m:
         raise KeyError(f"unknown example {name!r}")
@@ -151,9 +153,21 @@ def builtin_example(name: str) -> dict:
         raise KeyError(f"unknown example {name!r}; known: {', '.join(example_names())}")
     if args is None or args.strip() == "":
         return _REGISTRY[base]()
-    vals = [Fraction(a.strip()) for a in args.split(",")]
+    vals = [a.strip() for a in args.split(",")]
     if base == "abelian":
-        return abelian(*[int(v) for v in vals])
+        if len(vals) > 3:
+            raise ValueError(f"{name}: abelian takes at most three parameters")
+        for field, v in zip(("rank1", "rank2", "base_dim"), vals):
+            limit = MAX_BASE_DIM if field == "base_dim" else MAX_RANK
+            if not (v.isascii() and v.isdigit()):
+                raise ValueError(f"{name}: {field} {v!r} is not a non-negative integer")
+            if len(v) > 4 or int(v) > limit:  # len: no int() of a huge string
+                raise ValueError(f"{name}: {field} {v} exceeds the limit {limit}")
+        return abelian(*map(int, vals))
     if base == "lsa3":
-        return lsa3(vals[0])
+        try:
+            (k0,) = vals
+            return lsa3(Fraction(k0))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{name}: lsa3 takes one rational parameter") from None
     raise KeyError(f"example {base!r} takes no parameters")

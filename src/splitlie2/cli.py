@@ -210,17 +210,20 @@ def cmd_lwx_check(sf, args):
 
 
 def cmd_dirac_check(sf, args):
-    e, _, pair = _double(sf, False)
+    # the block each mode needs is looked for before the double is built
     if args.weak and args.graph:
-        return _graph_reports(e, pair or _pair_from_file(sf), sf.mc_element()), None
+        m = sf.mc_element()
+        e, _, pair = _double(sf, False)
+        return _graph_reports(e, pair or _pair_from_file(sf), m), None
     if args.weak:
         if sf.morphism is None or sf.morphism_codomain != "double":
             raise StructureFileError(
                 "morphism", "weak check needs a morphism block with codomain 'double' "
                 "(or --graph)")
-        return [check_weak_dirac(e, sf.structure, sf.morphism)], None
+        return [check_weak_dirac(_double(sf, False)[0], sf.structure, sf.morphism)], None
     if not sf.subbundles:
         raise StructureFileError("subbundles", "strict check needs a subbundles block")
+    e = _double(sf, False)[0]
     reports = []
     for name in sorted(sf.subbundles):
         rep, _ = check_strict_dirac(e, sf.subbundles[name])
@@ -300,7 +303,10 @@ def _show_example(args) -> int:
     if not args.name:
         print("example show needs a name", file=sys.stderr)
         return 2
-    ex = builtin_example(args.name)
+    try:
+        ex = builtin_example(args.name)
+    except (KeyError, ValueError) as exc:
+        raise StructureFileError("example", exc.args[0]) from None
     print(render_structure(ex["structure"], extra=ex.get("mc") and mc_blocks(ex["mc"])))
     return 0
 

@@ -3,11 +3,11 @@
 A cochain is a polynomial in the base variables and the two coordinate
 frames xi (wedge slots, odd) and th (symmetric slots, even); a (p, q)
 cochain has p wedge slots, q symmetric slots and total degree p + 2q.
-The coboundary is the bracket with the generating function and splits by
-the triple grading into three pieces moving (p, q) by (-1, +1), (+1, 0)
-and (+3, -1).  Lie derivatives along sections and the slot contraction
-complete the calculus; every identity they satisfy is available as a
-runnable residual check.
+The operators are those of SAlgebra: delta = {mu, .}, whose triple-grading
+pieces move (p, q) by (-1, +1), (+1, 0) (this one is d_part) and (+3, -1),
+and the Lie derivatives L0 = b1, L1 = L2 = b2, L3 = b3 along embedded
+sections.  Here are the slot contraction iota, cochain generators, and
+verify_calculus_identities, which checks every identity as a residual.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from fractions import Fraction
 from .bracket import poisson_bracket
 from .gradedpoly import (
     TH,
-    UNK,
     X,
     XI,
     Chart,
@@ -30,22 +29,7 @@ from .gradedpoly import (
 )
 from .multivectors import SAlgebra, contract, frame_section, section1, section2
 from .report import CheckReport
-from .structures import Lie2Ops, Lie2Structure, basis_vector
-
-COCHAIN_KINDS = {X, XI, TH, UNK}
-
-
-class CochainError(ValueError):
-    pass
-
-
-def is_cochain(p: Poly) -> bool:
-    return p.kinds_used() <= COCHAIN_KINDS
-
-
-def _require_cochain(p: Poly):
-    if not is_cochain(p):
-        raise CochainError("momentum variable present in a cochain")
+from .structures import Lie2Ops, Lie2Structure
 
 
 def bidegree(p: Poly):
@@ -67,96 +51,16 @@ def one_form(chart: Chart, a1=None, a2=None) -> Poly:
     return frame_section(chart, a1 or (), xi_up) + frame_section(chart, a2 or (), th_up)
 
 
-def coboundary(s: Lie2Structure, phi: Poly, part: str = "all") -> Poly:
-    """delta(phi) = {mu, phi}, or one of its graded pieces."""
-    _require_cochain(phi)
-    alg = SAlgebra(s)
-    gen = {
-        "all": alg.mu,
-        "bar": alg.mu211,
-        "d": alg.mu121,
-        "hat": alg.mu031,
-    }[part]
-    return poisson_bracket(gen, phi)
+def iota(xv, mv, phi: Poly) -> Poly:
+    """Slot contraction of phi with the section (xv, mv); either may be None."""
+    return contract(phi, {k: v for k, v in ((XI, xv), (TH, mv)) if v is not None})
 
 
-class Calculus:
-    """Cached operators of one structure acting on cochains."""
-
-    def __init__(self, s: Lie2Structure):
-        self.s = s
-        self.chart = s.chart
-        self.alg = SAlgebra(s)
-        self.ops = Lie2Ops(s)
-
-    # coboundary pieces
-    def delta(self, phi):
-        _require_cochain(phi)
-        return poisson_bracket(self.alg.mu, phi)
-
-    def dbar(self, phi):
-        _require_cochain(phi)
-        return poisson_bracket(self.alg.mu211, phi)
-
-    def d(self, phi):
-        _require_cochain(phi)
-        return poisson_bracket(self.alg.mu121, phi)
-
-    def dhat(self, phi):
-        _require_cochain(phi)
-        return poisson_bracket(self.alg.mu031, phi)
-
-    # Lie derivatives along embedded sections: x, y = section1(chart, xv),
-    # m = section2(chart, mv); the caller embeds a section once and reuses it
-    def lie0(self, phi):
-        _require_cochain(phi)
-        return self.alg.b1(phi)
-
-    def lie1(self, x: Poly, phi):
-        _require_cochain(phi)
-        return self.alg.b2(x, phi)
-
-    def lie2(self, m: Poly, phi):
-        _require_cochain(phi)
-        return self.alg.b2(m, phi)
-
-    def lie3(self, x: Poly, y: Poly, phi):
-        _require_cochain(phi)
-        return self.alg.b3(x, y, phi)
-
-    def iota(self, xv, mv, phi):
-        """Slot contraction with the section (xv, mv)."""
-        comp = {}
-        if xv is not None:
-            comp[XI] = xv
-        if mv is not None:
-            comp[TH] = mv
-        return contract(phi, comp)
-
-
-def lie_derivative(s: Lie2Structure, which: str, args, phi: Poly) -> Poly:
-    """Dispatch for the four Lie derivatives: L0, L1, L2, L3, along
-    sections given as coefficient vectors over the frames."""
-    c = Calculus(s)
-    ch = s.chart
-    if which == "L0":
-        return c.lie0(phi)
-    if which == "L1":
-        (xv,) = args
-        return c.lie1(section1(ch, xv), phi)
-    if which == "L2":
-        (mv,) = args
-        return c.lie2(section2(ch, mv), phi)
-    if which == "L3":
-        xv, yv = args
-        return c.lie3(section1(ch, xv), section1(ch, yv), phi)
-    raise ValueError(f"unknown Lie derivative {which!r}")
-
-
-def random_cochain(chart: Chart, rng: random.Random, max_degree=5, max_base_degree=2):
+def random_cochain(chart: Chart, rng: random.Random):
+    """Up to three random monomials of degree <= 5 and base degree <= 2; never 0."""
     acc = {}
     for _ in range(rng.randint(1, 3)):
-        deg = rng.randint(0, max_degree)
+        deg = rng.randint(0, 5)
         d = 0
         factors = []
         guard = 0
@@ -175,7 +79,7 @@ def random_cochain(chart: Chart, rng: random.Random, max_degree=5, max_base_degr
             d += kd
         if d != deg:
             continue
-        for _ in range(rng.randint(0, max_base_degree)):
+        for _ in range(rng.randint(0, 2)):
             if chart.base_dim:
                 factors.append((X, rng.randint(1, chart.base_dim)))
         sign, mono = mono_from_sequence(factors)
@@ -212,39 +116,41 @@ def monomial_cochains(chart: Chart, max_degree=5):
 def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> CheckReport:
     """All operator identities of the calculus, on frames and random cochains."""
     rep = CheckReport("calculus-identities")
-    c = Calculus(s)
+    alg = SAlgebra(s)
+    ops = Lie2Ops(s)
+    # the Lie derivatives L0..L3 and d (see SAlgebra)
+    lie0, lie1, lie2, lie3, d = alg.b1, alg.b2, alg.b2, alg.b3, alg.d_part
     ch = s.chart
     r1, r2, n = ch.rank1, ch.rank2, ch.base_dim
     rng = random.Random(seed)
     # frame vectors, and the sections the Lie derivatives run along, built once
-    e = [basis_vector(ch, r1, i) for i in range(r1)]
-    f = [basis_vector(ch, r2, j) for j in range(r2)]
+    units = ops.units  # the brackets of the unit frames: the tensors of s
+    e, f = units.b1, units.b2
     se = [section1(ch, v) for v in e]
     sf = [section2(ch, v) for v in f]
     # function-linearity rules, f running over 1 and the coordinates
     fns = [Poly.const(ch, 1)] + [x_(ch, m + 1) for m in range(n)]
     fse = [[fn * x for x in se] for fn in fns]  # the sections f e_i
     fsf = [[fn * m for m in sf] for fn in fns]
-    l11 = [[c.ops.l2_11(e[i], e[j]) for j in range(r1)] for i in range(r1)]
-    l12 = [[c.ops.l2_12(e[i], f[j]) for j in range(r2)] for i in range(r1)]
+    l11, l12 = units.l11, units.l12
     s11 = [[section1(ch, v) for v in row] for row in l11]
     s12 = [[section2(ch, v) for v in row] for row in l12]
-    sd = [section1(ch, c.ops.l1(f[j])) for j in range(r2)]
+    sd = [section1(ch, v) for v in units.l1]
 
     # square-zero on all low-degree monomial cochains
     for t, phi in enumerate(monomial_cochains(ch, max_degree=5)):
-        rep.add(f"delta.square[{t}]", "delta(delta(phi)) = 0", c.delta(c.delta(phi)))
+        rep.add(f"delta.square[{t}]", "delta(delta(phi)) = 0", alg.delta(alg.delta(phi)))
 
     # graded pieces move the bidegree as stated
     probe = monomial_cochains(ch, max_degree=4)
     for t, phi in enumerate(probe):
         pq = bidegree(phi)
-        for name, op, shift in (
-            ("bar", c.dbar, (-1, 1)),
-            ("d", c.d, (1, 0)),
-            ("hat", c.dhat, (3, -1)),
+        for name, gen, shift in (
+            ("bar", alg.mu211, (-1, 1)),
+            ("d", alg.mu121, (1, 0)),
+            ("hat", alg.mu031, (3, -1)),
         ):
-            img = op(phi)
+            img = poisson_bracket(gen, phi)
             if img.is_zero:
                 continue
             ok = bidegree(img) == (pq[0] + shift[0], pq[1] + shift[1])
@@ -257,7 +163,7 @@ def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> Ch
 
     cochains = [random_cochain(ch, rng) for _ in range(cochain_count)]
     for t, phi in enumerate(cochains):
-        c.alg.clear_memo()
+        alg.clear_memo()
         psi = cochains[(t + 1) % len(cochains)]
         k = phi.degree()
         if k == "inhomogeneous":
@@ -266,77 +172,77 @@ def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> Ch
         rep.add(
             f"delta.derivation[{t}]",
             "delta(phi psi) = delta(phi) psi + (-1)^k phi delta(psi)",
-            c.delta(phi * psi) - (c.delta(phi) * psi + sgn * (phi * c.delta(psi))),
+            alg.delta(phi * psi) - (alg.delta(phi) * psi + sgn * (phi * alg.delta(psi))),
         )
         for i in range(r1):
             rep.add(
                 f"cartan.L1[{t},{i + 1}]",
                 "L1_x phi = i_x d phi + d i_x phi",
-                c.lie1(se[i], phi) - (c.iota(e[i], None, c.d(phi)) + c.d(c.iota(e[i], None, phi))),
+                lie1(se[i], phi) - (iota(e[i], None, d(phi)) + d(iota(e[i], None, phi))),
             )
             rep.add(
                 f"lie.L1.derivation[{t},{i + 1}]",
                 "L1_x (phi psi) = (L1_x phi) psi + phi (L1_x psi)",
-                c.lie1(se[i], phi * psi)
-                - (c.lie1(se[i], phi) * psi + phi * c.lie1(se[i], psi)),
+                lie1(se[i], phi * psi)
+                - (lie1(se[i], phi) * psi + phi * lie1(se[i], psi)),
             )
             j2 = (i + 1) % r1
             rep.add(
                 f"lie.L3.derivation[{t},{i + 1}]",
                 "L3_(x,y) (phi psi) = (L3 phi) psi + (-1)^k phi (L3 psi)",
-                c.lie3(se[i], se[j2], phi * psi)
-                - (c.lie3(se[i], se[j2], phi) * psi + sgn * (phi * c.lie3(se[i], se[j2], psi))),
+                lie3(se[i], se[j2], phi * psi)
+                - (lie3(se[i], se[j2], phi) * psi + sgn * (phi * lie3(se[i], se[j2], psi))),
             )
         for j in range(r2):
             rep.add(
                 f"cartan.L2[{t},{j + 1}]",
                 "L2_m phi = i_m d phi - d i_m phi",
-                c.lie2(sf[j], phi) - (c.iota(None, f[j], c.d(phi)) - c.d(c.iota(None, f[j], phi))),
+                lie2(sf[j], phi) - (iota(None, f[j], d(phi)) - d(iota(None, f[j], phi))),
             )
             rep.add(
                 f"lie.L2.derivation[{t},{j + 1}]",
                 "L2_m (phi psi) = (L2_m phi) psi + (-1)^k phi (L2_m psi)",
-                c.lie2(sf[j], phi * psi)
-                - (c.lie2(sf[j], phi) * psi + sgn * (phi * c.lie2(sf[j], psi))),
+                lie2(sf[j], phi * psi)
+                - (lie2(sf[j], phi) * psi + sgn * (phi * lie2(sf[j], psi))),
             )
         for fi, fn in enumerate(fns):
             for i in range(r1):
                 rep.add(
                     f"lie.L1.fun[{t},{fi},{i + 1}]",
                     "L1_x (f phi) = f L1_x phi + a(x)(f) phi",
-                    c.lie1(se[i], fn * phi)
-                    - (fn * c.lie1(se[i], phi) + c.ops.anchor(e[i], fn) * phi),
+                    lie1(se[i], fn * phi)
+                    - (fn * lie1(se[i], phi) + ops.anchor(e[i], fn) * phi),
                 )
                 rep.add(
                     f"lie.L1.fsec[{t},{fi},{i + 1}]",
                     "L1_(f x) phi = f L1_x phi + d f * i_x phi",
-                    c.lie1(fse[fi][i], phi)
-                    - (fn * c.lie1(se[i], phi) + c.d(fn) * c.iota(e[i], None, phi)),
+                    lie1(fse[fi][i], phi)
+                    - (fn * lie1(se[i], phi) + d(fn) * iota(e[i], None, phi)),
                 )
             for j in range(r2):
                 rep.add(
                     f"lie.L2.fun[{t},{fi},{j + 1}]",
                     "L2_m (f phi) = f L2_m phi",
-                    c.lie2(sf[j], fn * phi) - fn * c.lie2(sf[j], phi),
+                    lie2(sf[j], fn * phi) - fn * lie2(sf[j], phi),
                 )
                 rep.add(
                     f"lie.L2.fsec[{t},{fi},{j + 1}]",
                     "L2_(f m) phi = f L2_m phi - d f * i_m phi",
-                    c.lie2(fsf[fi][j], phi)
-                    - (fn * c.lie2(sf[j], phi) - c.d(fn) * c.iota(None, f[j], phi)),
+                    lie2(fsf[fi][j], phi)
+                    - (fn * lie2(sf[j], phi) - d(fn) * iota(None, f[j], phi)),
                 )
     # mixed commutator identities on frame sections and random cochains
     for t in range(min(cochain_count, 12)):
-        c.alg.clear_memo()
+        alg.clear_memo()
         phi = cochains[t % len(cochains)]
         for i in range(r1):
             for j in range(r1):
                 lhs = (
-                    c.lie1(s11[i][j], phi)
-                    - c.lie1(se[i], c.lie1(se[j], phi))
-                    + c.lie1(se[j], c.lie1(se[i], phi))
+                    lie1(s11[i][j], phi)
+                    - lie1(se[i], lie1(se[j], phi))
+                    + lie1(se[j], lie1(se[i], phi))
                 )
-                rhs = -c.lie3(se[i], se[j], c.lie0(phi)) - c.lie0(c.lie3(se[i], se[j], phi))
+                rhs = -lie3(se[i], se[j], lie0(phi)) - lie0(lie3(se[i], se[j], phi))
                 rep.add(
                     f"lie.commutator11[{t},{i + 1},{j + 1}]",
                     "L1_(l2(x,y)) - [L1_x, L1_y] = -L3_(x,y) L0 - L0 L3_(x,y)",
@@ -345,11 +251,11 @@ def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> Ch
         for i in range(r1):
             for j in range(r2):
                 lhs = (
-                    c.lie2(s12[i][j], phi)
-                    - c.lie1(se[i], c.lie2(sf[j], phi))
-                    + c.lie2(sf[j], c.lie1(se[i], phi))
+                    lie2(s12[i][j], phi)
+                    - lie1(se[i], lie2(sf[j], phi))
+                    + lie2(sf[j], lie1(se[i], phi))
                 )
-                rhs = -c.lie3(sd[j], se[i], phi)
+                rhs = -lie3(sd[j], se[i], phi)
                 rep.add(
                     f"lie.commutator12[{t},{i + 1},{j + 1}]",
                     "L2_(l2(x,m)) - [L1_x, L2_m] = -L3_(d m, x)",
@@ -358,17 +264,17 @@ def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> Ch
     # contraction identities on dual frame sections
     alphas = [xi_up(ch, a + 1) for a in range(r1)]
     betas = [th_up(ch, b + 1) for b in range(r2)]
-    d_alphas = [c.d(alpha) for alpha in alphas]
-    d_betas = [c.d(beta) for beta in betas]
+    d_alphas = [d(alpha) for alpha in alphas]
+    d_betas = [d(beta) for beta in betas]
     for i in range(r1):
         for j in range(r1):
             for a, (alpha, d_alpha) in enumerate(zip(alphas, d_alphas)):
                 lhs = (
-                    c.iota(l11[i][j], None, d_alpha)
-                    - c.lie1(se[i], c.iota(e[j], None, d_alpha))
-                    + c.iota(e[j], None, c.lie1(se[i], d_alpha))
+                    iota(l11[i][j], None, d_alpha)
+                    - lie1(se[i], iota(e[j], None, d_alpha))
+                    + iota(e[j], None, lie1(se[i], d_alpha))
                 )
-                rhs = -c.lie3(se[i], se[j], c.lie0(alpha))
+                rhs = -lie3(se[i], se[j], lie0(alpha))
                 rep.add(
                     f"iota.rel1[{i + 1},{j + 1},{a + 1}]",
                     "i_(l2(x,y)) d a1 - L1_x i_y d a1 + i_y L1_x d a1 = -L3_(x,y) L0 a1",
@@ -376,11 +282,11 @@ def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> Ch
                 )
             for b, (beta, d_beta) in enumerate(zip(betas, d_betas)):
                 lhs = (
-                    c.iota(l11[i][j], None, d_beta)
-                    - c.lie1(se[i], c.iota(e[j], None, d_beta))
-                    + c.iota(e[j], None, c.lie1(se[i], d_beta))
+                    iota(l11[i][j], None, d_beta)
+                    - lie1(se[i], iota(e[j], None, d_beta))
+                    + iota(e[j], None, lie1(se[i], d_beta))
                 )
-                rhs = -c.lie0(c.lie3(se[i], se[j], beta))
+                rhs = -lie0(lie3(se[i], se[j], beta))
                 rep.add(
                     f"iota.rel2[{i + 1},{j + 1},{b + 1}]",
                     "i_(l2(x,y)) d a2 - L1_x i_y d a2 + i_y L1_x d a2 = -L0 L3_(x,y) a2",
@@ -390,11 +296,11 @@ def verify_calculus_identities(s: Lie2Structure, cochain_count=50, seed=0) -> Ch
         for j in range(r2):
             for b, (beta, d_beta) in enumerate(zip(betas, d_betas)):
                 lhs = (
-                    c.iota(None, l12[i][j], d_beta)
-                    - c.lie1(se[i], c.iota(None, f[j], d_beta))
-                    + c.iota(None, f[j], c.lie1(se[i], d_beta))
+                    iota(None, l12[i][j], d_beta)
+                    - lie1(se[i], iota(None, f[j], d_beta))
+                    + iota(None, f[j], lie1(se[i], d_beta))
                 )
-                rhs = -c.lie3(sd[j], se[i], beta)
+                rhs = -lie3(sd[j], se[i], beta)
                 rep.add(
                     f"iota.rel3[{i + 1},{j + 1},{b + 1}]",
                     "i_(l2(x,m)) d a2 - L1_x i_m d a2 + i_m L1_x d a2 = -L3_(d m, x) a2",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bracket import derived_table, poisson_bracket
-from .cochains import Calculus, one_form
+from .cochains import iota, one_form
 from .gradedpoly import (
     TH,
     THD,
@@ -29,7 +29,7 @@ from .gradedpoly import (
     xi_up,
 )
 from .linalg import invert, rank, row_reduce
-from .multivectors import MCElement, section1, section2
+from .multivectors import MCElement, SAlgebra, section1, section2
 from .report import CheckReport
 from .structures import (
     FrameTables,
@@ -49,7 +49,6 @@ from .structures import (
     nonzero_coords,
     pull_back,
     transport,
-    unit_frame_tables,
     vec_add,
     vec_nonzero,
     vec_sub,
@@ -219,8 +218,10 @@ def embed2(chart: Chart, wv) -> Poly:
 def build_double(pair: BialgebroidPair, cross_check=True):
     """Double of a compatible pair; returns (structure, report).
 
-    Route (a) evaluates the componentwise displays through the calculus of
-    both halves; route (b) uses derived brackets of the combined function.
+    Route (a) evaluates the componentwise displays: the blocks within one
+    half are that half's tensors, the mixed ones come from the calculus
+    (SAlgebra) of both halves.  Route (b) uses derived brackets of the
+    combined function.
     The report records their exact agreement and the compatibility gate.
     """
     rep = CheckReport("double")
@@ -232,13 +233,12 @@ def build_double(pair: BialgebroidPair, cross_check=True):
     chd = dual.chart
     n, r1, r2 = ch.base_dim, ch.rank1, ch.rank2
     d = r1 + r2
-    calc = Calculus(s)
-    calcd = Calculus(dual)
-    ops = Lie2Ops(s)
-    opsd = Lie2Ops(dual)
+    # the Lie derivatives and d of each half (see SAlgebra)
+    alg, algd = pair.alg, SAlgebra(dual)
 
     lift = lambda p: p.lift(ch)
     liftv = lambda v: [lift(c) for c in v]
+    zeros = lambda k: [Poly.zero(ch)] * k
 
     th_comps = lambda phi: linear_components(phi, TH, r2, ch)
     xi_comps = lambda phi: linear_components(phi, XI, r1, ch)
@@ -262,111 +262,99 @@ def build_double(pair: BialgebroidPair, cross_check=True):
     xi_of = [xi_up(ch, j + 1) for j in range(r1)]
 
     # frame vector a of E_-1 as (base part, dual part), one of them None;
-    # the same for frame vector m of E_-2
+    # the same for frame vector m of E_-2.  A bracket of unit frame vectors
+    # within one half is that half's tensor: no anchor term survives.
     slot1 = lambda a: (e1[a], None) if a < r1 else (None, ed[a - r1])
     slot2 = lambda m: (f1[m], None) if m < r2 else (None, fd[m - r2])
 
     # unary map and anchor
     def partial(m):
         if m < r2:
-            return [c.lift(ch) for c in ops.l1(f1[m])] + [Poly.zero(ch)] * r2
-        return [Poly.zero(ch)] * r1 + [c.lift(ch) for c in opsd.l1(fd[m - r2])]
+            return liftv(s.mu2[m]) + zeros(r2)
+        return zeros(r1) + liftv(dual.mu2[m - r2])
 
     def rho(a, i):
-        if a < r1:
-            return ops.anchor(e1[a], x_(ch, i + 1))
-        return opsd.anchor(ed[a - r1], x_(ch.swapped(), i + 1)).lift(ch)
+        return s.mu1[a][i] if a < r1 else lift(dual.mu1[a - r1][i])
 
     # binary operation on the degree -1 frame
     def c11(a, b):
-        xpart = [Poly.zero(ch)] * r1
-        tpart = [Poly.zero(ch)] * r2
+        xpart = zeros(r1)
+        tpart = zeros(r2)
         (xv, av), (yv, bv) = slot1(a), slot1(b)
         if xv and yv:
-            xpart = vec_add(xpart, liftv(ops.l2_11(xv, yv)))
+            xpart = vec_add(xpart, liftv(s.mu3[a][b]))
         if xv and bv is not None:
-            tpart = vec_add(tpart, th_comps(calc.lie1(se1[a], th_of[b - r1])))
+            tpart = vec_add(tpart, th_comps(alg.b2(se1[a], th_of[b - r1])))
         if yv and av is not None:
-            tpart = vec_sub(tpart, th_comps(calc.lie1(se1[b], th_of[a - r1])))
+            tpart = vec_sub(tpart, th_comps(alg.b2(se1[b], th_of[a - r1])))
         if av is not None and bv is not None:
-            tpart = vec_add(tpart, [c.lift(ch) for c in opsd.l2_11(av, bv)])
+            tpart = vec_add(tpart, liftv(dual.mu3[a - r1][b - r1]))
         if av is not None and yv:
-            xpart = vec_add(xpart, dual_a2(calcd.lie1(sed[a - r1], dc1[b])))
+            xpart = vec_add(xpart, dual_a2(algd.b2(sed[a - r1], dc1[b])))
         if bv is not None and xv:
-            xpart = vec_sub(xpart, dual_a2(calcd.lie1(sed[b - r1], dc1[a])))
+            xpart = vec_sub(xpart, dual_a2(algd.b2(sed[b - r1], dc1[a])))
         return xpart + tpart
 
     # mixed operations
     def c12(a, m):
-        mpart = [Poly.zero(ch)] * r2
-        xipart = [Poly.zero(ch)] * r1
+        mpart = zeros(r2)
+        xipart = zeros(r1)
         (xv, av), (wv, bv) = slot1(a), slot2(m)
         if xv and wv:
-            mpart = vec_add(mpart, liftv(ops.l2_12(xv, wv)))
+            mpart = vec_add(mpart, liftv(s.mu4[a][m]))
         if xv and bv is not None:
-            xipart = vec_add(xipart, xi_comps(calc.lie1(se1[a], xi_of[m - r2])))
+            xipart = vec_add(xipart, xi_comps(alg.b2(se1[a], xi_of[m - r2])))
         if wv and av is not None:
-            xipart = vec_add(
-                xipart, xi_comps(calc.iota(None, wv, calc.d(th_of[a - r1])))
-            )
+            xipart = vec_add(xipart, xi_comps(iota(None, wv, alg.d_part(th_of[a - r1]))))
         if av is not None and bv is not None:
-            xipart = vec_add(xipart, [c.lift(ch) for c in opsd.l2_12(av, bv)])
+            xipart = vec_add(xipart, liftv(dual.mu4[a - r1][m - r2]))
         if av is not None and wv:
-            mpart = vec_add(mpart, dual_a1(calcd.lie1(sed[a - r1], dc2[m])))
+            mpart = vec_add(mpart, dual_a1(algd.b2(sed[a - r1], dc2[m])))
         if bv is not None and xv:
-            mpart = vec_add(
-                mpart,
-                dual_a1(calcd.iota(None, fd[m - r2], calcd.d(dc1[a]))),
-            )
+            mpart = vec_add(mpart, dual_a1(iota(None, fd[m - r2], algd.d_part(dc1[a]))))
         return mpart + xipart
 
     def c21(m, a):
-        mpart = [Poly.zero(ch)] * r2
-        xipart = [Poly.zero(ch)] * r1
+        mpart = zeros(r2)
+        xipart = zeros(r1)
         (xv, av), (wv, bv) = slot1(a), slot2(m)
         if wv and xv:
-            mpart = vec_add(mpart, liftv(ops.l2_21(wv, xv)))
+            mpart = vec_add(mpart, liftv(s.mu4[a][m]))
         if bv is not None and av is not None:
-            xipart = vec_add(xipart, [c.lift(ch) for c in opsd.l2_21(bv, av)])
+            xipart = vec_add(xipart, liftv(dual.mu4[a - r1][m - r2]))
         if wv and av is not None:
             # dual L2 along the degree -2 frame of the dual half
-            xipart = vec_add(xipart, xi_comps(calc.lie2(sf1[m], th_of[a - r1])))
+            xipart = vec_add(xipart, xi_comps(alg.b2(sf1[m], th_of[a - r1])))
         if bv is not None and xv:
-            xipart = vec_add(xipart, xi_comps(calc.iota(xv, None, calc.d(xi_of[m - r2]))))
+            xipart = vec_add(xipart, xi_comps(iota(xv, None, alg.d_part(xi_of[m - r2]))))
         if xv and bv is not None:
-            mpart = vec_add(mpart, dual_a1(calcd.lie2(sfd[m - r2], dc1[a])))
+            mpart = vec_add(mpart, dual_a1(algd.b2(sfd[m - r2], dc1[a])))
         if av is not None and wv:
-            mpart = vec_add(
-                mpart,
-                dual_a1(calcd.iota(ed[a - r1], None, calcd.d(dc2[m]))),
-            )
+            mpart = vec_add(mpart, dual_a1(iota(ed[a - r1], None, algd.d_part(dc2[m]))))
         return mpart + xipart
 
     # curvature 3-form
     def omega(a, b, c):
-        mpart = [Poly.zero(ch)] * r2
-        xipart = [Poly.zero(ch)] * r1
+        mpart = zeros(r2)
+        xipart = zeros(r1)
         qs = (a, b, c)
         xs = [e1[q] if q < r1 else None for q in qs]
         als = [q - r1 if q >= r1 else None for q in qs]
         if all(v is not None for v in xs):
-            mpart = vec_add(mpart, liftv(ops.l3(*xs)))
+            mpart = vec_add(mpart, liftv(s.mu5[a][b][c]))
         # L3 terms: two base sections against one dual frame
         for (p, q, rr) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             if xs[p] is not None and xs[q] is not None and als[rr] is not None:
                 xipart = vec_add(
                     xipart,
-                    xi_comps(calc.lie3(se1[qs[p]], se1[qs[q]], th_of[als[rr]])),
+                    xi_comps(alg.b3(se1[qs[p]], se1[qs[q]], th_of[als[rr]])),
                 )
             if als[p] is not None and als[q] is not None and xs[rr] is not None:
                 mpart = vec_add(
-                    mpart, dual_a1(calcd.lie3(sed[als[p]], sed[als[q]], dc1[qs[rr]]))
+                    mpart, dual_a1(algd.b3(sed[als[p]], sed[als[q]], dc1[qs[rr]]))
                 )
         if all(v is not None for v in als):
-            xipart = vec_add(
-                xipart,
-                [c2.lift(ch) for c2 in opsd.l3(ed[als[0]], ed[als[1]], ed[als[2]])],
-            )
+            xipart = vec_add(xipart, liftv(dual.mu5[als[0]][als[1]][als[2]]))
         return mpart + xipart
 
     out = LWXStructure(
@@ -454,7 +442,7 @@ def check_lwx_axioms(e: LWXStructure) -> CheckReport:
     d, n = e.d1, ch.base_dim
     zero = ops._zero
     zero_vec = [zero] * d
-    t = unit_frame_tables(ops)
+    t = ops.units
     u = t.b1
     probes = [Poly.const(ch, 1)] + [x_(ch, i + 1) for i in range(n)]
     # scaled[c][fi] = f u_c; p12[a][c][fi] = u_a * f u_c; p21[c][a][fi] = f u_c * u_a

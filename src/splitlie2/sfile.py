@@ -229,7 +229,7 @@ def _rational_rows(raw, where: str, what: str):
     return [[_rational(v, where, f"rational in {what}") for v in r] for r in raw]
 
 
-def _structure_from_block(block, where: str, chart=None):
+def _structure_from_block(block, where: str):
     for field in ("base_dim", "rank1", "rank2"):
         if field not in block:
             raise StructureFileError(where, f"missing {field}")

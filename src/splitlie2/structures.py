@@ -260,7 +260,8 @@ class Lie2Ops:
         """Sparse tables anchor[a], unary[m], b11[a][b], b12[a][m], b21[a][m]
         and ternary[a][b][c], where a, b, c run over the degree -1 frame and
         m over the degree -2 frame.  b12 gives l2(x, m) and b21 gives
-        l2(m, x), both indexed x slot first."""
+        l2(m, x), both indexed x slot first.  self.units is the FrameTables
+        of the unit frames."""
         self.chart, self.r1, self.r2, self.n = chart, r1, r2, chart.base_dim
         self._zero = Poly.zero(chart)
         self._anchor = _sparse(anchor, 1)
@@ -270,6 +271,16 @@ class Lie2Ops:
         self._b12 = _sparse(b12, 2)
         self._b21 = _sparse(b21, 2)
         self._ternary = _sparse(ternary, 3)
+        # on a constant frame no anchor term survives, so the brackets of
+        # unit vectors are the tensors themselves; the lists are shared
+        # with the structure, and no consumer mutates them
+        self.units = FrameTables(
+            [basis_vector(chart, r1, i) for i in range(r1)],
+            [basis_vector(chart, r2, m) for m in range(r2)],
+            anchor, unary, b11, b12,
+            [[b21[a][m] for a in range(r1)] for m in range(r2)],
+            ternary,
+        )
 
     def _gradient(self, f: Poly):
         """x_i-derivatives of f for the coordinates some anchor row uses."""
@@ -392,12 +403,6 @@ def frame_tables(ops, B1, B2) -> FrameTables:
         [[ops.l2_21(m, x) for x in B1] for m in B2],
         [[[ops.l3(x, y, z) for z in B1] for y in B1] for x in B1],
     )
-
-
-def unit_frame_tables(ops) -> FrameTables:
-    ch = ops.chart
-    return frame_tables(ops, [basis_vector(ch, ops.r1, i) for i in range(ops.r1)],
-                        [basis_vector(ch, ops.r2, j) for j in range(ops.r2)])
 
 
 def map_sections(fn, table, depth):
@@ -727,8 +732,8 @@ def check_leibniz2_tables(ops, t: FrameTables, report: CheckReport, tag: str):
 
 def check_leibniz2_axioms(ops, report: CheckReport, tag: str = "leibniz2"):
     """Axioms of a 2-term bracket system, on all frame tuples; each inner
-    bracket of frame vectors is read from `unit_frame_tables`."""
-    return check_leibniz2_tables(ops, unit_frame_tables(ops), report, tag)
+    bracket of frame vectors is read from `ops.units`."""
+    return check_leibniz2_tables(ops, ops.units, report, tag)
 
 
 def check_lie2_axioms(s: Lie2Structure) -> CheckReport:
@@ -746,7 +751,7 @@ def check_lie2_axioms(s: Lie2Structure) -> CheckReport:
         s = s.map_entries(lambda p: times_int(p, d))
         report.scale = Fraction(1, d * d)
     ops = Lie2Ops(s)
-    t = unit_frame_tables(ops)
+    t = ops.units
     check_leibniz2_tables(ops, t, report, "leibniz2")
     ch = s.chart
     r1, r2, n = ch.rank1, ch.rank2, ch.base_dim
@@ -865,7 +870,7 @@ def check_morphism(fdata: MorphismData, dom_ops, cod_ops) -> CheckReport:
     push2 = lambda v: combine(v, cols2, r2c, cch)
     f3_left = lambda i, v: combine(v, fdata.f3[i], r2c, cch)  # F3(e_i, v)
     f3_right = lambda v, k: combine(v, [plane[k] for plane in fdata.f3], r2c, cch)  # F3(v, e_k)
-    td = unit_frame_tables(dom_ops)
+    td = dom_ops.units
     tc = frame_tables(cod_ops, const_frame(cch, cols1), const_frame(cch, cols2))
 
     # reported, not required: some targets only need a Leibniz-style morphism

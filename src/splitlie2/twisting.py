@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bracket import poisson_bracket
-from .cochains import Calculus
 from .gradedpoly import (
     P,
     TH,
@@ -104,8 +103,10 @@ def dual_structure_formulas(s: Lie2Structure, m: MCElement) -> Lie2Structure:
     ch = s.chart
     n, r1, r2 = ch.base_dim, ch.rank1, ch.rank2
     out = Lie2Structure.zero(ch.swapped())
-    calc = Calculus(s)
+    alg = SAlgebra(s)
     ops = Lie2Ops(s)
+    # the Lie derivatives L1, L2, L3 and d (see SAlgebra)
+    lie1, lie2, lie3, d = alg.b2, alg.b2, alg.b3, alg.d_part
     ktens = m.k_tensor()
 
     th_comps = lambda phi: linear_components(phi, TH, r2, out.chart)
@@ -126,43 +127,44 @@ def dual_structure_formulas(s: Lie2Structure, m: MCElement) -> Lie2Structure:
         for mdx in range(n):
             out.mu1[i][mdx] = ops.anchor(hs_i, x_(ch, mdx + 1)).lift(out.chart)
         for j in range(r2):
-            val = calc.lie1(hs[i], theta(j)) - calc.lie1(hs[j], theta(i))
+            val = lie1(hs[i], theta(j)) - lie1(hs[j], theta(i))
             out.mu3[i][j] = th_comps(val)
         for j in range(r1):
             hpair = m.h[j][i]  # H evaluated on the (i, j) dual frame pair
             val = (
-                calc.lie1(hs[i], xi(j))
-                - calc.lie2(hn[j], theta(i))
-                - calc.d(hpair)
+                lie1(hs[i], xi(j))
+                - lie2(hn[j], theta(i))
+                - d(hpair)
             )
             out.mu4[i][j] = xi_comps(val)
         for j in range(r2):
             for k in range(r2):
                 val = (
-                    -calc.lie2(kv[i][j], theta(k))
-                    - calc.lie2(kv[k][i], theta(j))
-                    - calc.lie2(kv[j][k], theta(i))
-                    - 2 * calc.d(ktens[i][j][k])
-                    + calc.lie3(hs[i], hs[j], theta(k))
-                    + calc.lie3(hs[j], hs[k], theta(i))
-                    + calc.lie3(hs[k], hs[i], theta(j))
+                    -lie2(kv[i][j], theta(k))
+                    - lie2(kv[k][i], theta(j))
+                    - lie2(kv[j][k], theta(i))
+                    - 2 * d(ktens[i][j][k])
+                    + lie3(hs[i], hs[j], theta(k))
+                    + lie3(hs[j], hs[k], theta(i))
+                    + lie3(hs[k], hs[i], theta(j))
                 )
                 out.mu5[i][j][k] = xi_comps(val)
     return out
 
 
-def induced_dual_structure(s: Lie2Structure, m: MCElement, require_flat=True):
+def induced_dual_structure(s: Lie2Structure, m: MCElement):
     """Twisted dual structure, decoded and cross-checked.
 
     Returns (structure, report); the report includes the flatness gate,
-    the dual nilpotency, and the componentwise-formula comparison.
+    the dual nilpotency, and the componentwise-formula comparison.  Raises
+    ValueError when m is not flat.
     """
     rep = CheckReport("induced-dual")
     res = mc_residual(s, m)
     flat = all(r.is_zero for r in res)
     rep.add_flag("dual.flat", "twisting element satisfies the flatness equation", flat,
                  "; ".join(r.render() for r in res if not r.is_zero))
-    if require_flat and not flat:
+    if not flat:
         raise ValueError("twisting element is not flat")
     gamma = twist_gamma(s, m)
     rep.add("dual.nilpotency", "{gamma, gamma} = 0", poisson_bracket(gamma, gamma))

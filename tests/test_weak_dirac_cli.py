@@ -119,3 +119,15 @@ def test_check_structure_encodes_mu_once(tmp_path, monkeypatch):
     calls = _counted(monkeypatch, [structures, cli], "encode_mu")
     assert _run("--file", str(path), "check-structure")[0] == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", [["--strict"], ["--weak"], ["--weak", "--graph"]])
+def test_dirac_check_without_its_block_builds_no_double(tmp_path, monkeypatch, mode):
+    """A file with no subbundles, morphism or degree-3 element block ends in
+    a located exit 2 before the double is built."""
+    path = tmp_path / "lsa3.json"
+    path.write_text(json.dumps(structure_block(builtin_example("lsa3")["structure"])))
+    calls = _counted(monkeypatch, [cli], "build_double")
+    code, doc, err = _run("--file", str(path), "dirac-check", *mode)
+    assert (code, err, calls) == (2, "", [])
+    assert doc["error"].split(":")[0] in {"subbundles", "morphism", "H"}
