@@ -34,6 +34,7 @@ from .lwx import (
 )
 from .multivectors import (
     NonlinearError,
+    SAlgebra,
     generator_agreement_report,
     mc_report,
     solve_linear_mc,
@@ -66,7 +67,6 @@ from .twisting import (
     lambda_nilpotency,
     mce1_condition_check,
     relative_mc_report,
-    twist_gamma,
 )
 
 SCHEMA_VERSION = "1"
@@ -110,7 +110,7 @@ def _load(args) -> tuple[StructureFile, str]:
 
 def _pair_from_file(sf: StructureFile) -> BialgebroidPair:
     if sf.dual is not None:
-        return BialgebroidPair(sf.structure, sf.dual)
+        return BialgebroidPair(SAlgebra(sf.structure), sf.dual)
     return BialgebroidPair.abelian(sf.structure)
 
 
@@ -161,7 +161,8 @@ def cmd_hp_verify(sf, args):
 
 def cmd_mc_check(sf, args):
     m = sf.mc_element()
-    return [mc_report(sf.structure, m), mce1_condition_check(sf.structure, m)], None
+    alg = SAlgebra(sf.structure)
+    return [mc_report(alg, m), mce1_condition_check(alg, m)], None
 
 
 def cmd_mc_solve(sf, args):
@@ -185,8 +186,7 @@ def cmd_mc_solve(sf, args):
 
 def cmd_twist(sf, args):
     m = sf.mc_element()
-    dual, rep = induced_dual_structure(sf.structure, m)
-    gamma = twist_gamma(sf.structure, m)
+    dual, gamma, rep = induced_dual_structure(SAlgebra(sf.structure), m)
     return [rep], {"gamma": gamma.render(), "dual_structure": dual_block(dual)}
 
 
@@ -259,16 +259,19 @@ def _example_battery(name: str, seed: int, count: int) -> list:
     reports = [*_axiom_reports(s, encode_mu(s)), verify_calculus_identities(s, 10, seed),
                verify_hp_axioms(s, count=count, seed=seed), generator_agreement_report(s)]
     mcs = ex.get("mc_family") or ([ex["mc"]] if ex.get("mc") else [])
+    alg = SAlgebra(s)
+    duals = []
     for i, m in enumerate(mcs):
-        rep = mc_report(s, m)
+        rep = mc_report(alg, m)
         rep.title = f"maurer-cartan[{i}]"
         reports.append(rep)
-        reports.append(mce1_condition_check(s, m))
-        _, drep = induced_dual_structure(s, m)
+        reports.append(mce1_condition_check(alg, m))
+        dual, _, drep = induced_dual_structure(alg, m)
+        duals.append(dual)
         drep.title = f"induced-dual[{i}]"
         reports.append(drep)
     if mcs:
-        pair = BialgebroidPair.from_twist(s, mcs[0])
+        pair = BialgebroidPair(alg, duals[0])
         reports.append(check_bialgebroid(pair))
         e, drep = build_double(pair)
         reports.append(drep)
@@ -301,8 +304,7 @@ def _show_example(args) -> int:
         print(render_json({"examples": example_names()}))
         return 0
     if not args.name:
-        print("example show needs a name", file=sys.stderr)
-        return 2
+        raise StructureFileError("example", "example show needs a name")
     try:
         ex = builtin_example(args.name)
     except (KeyError, ValueError) as exc:
@@ -317,6 +319,8 @@ def _run(args) -> int:
     if args.command != "example":
         sf, text = _load(args)
         command = args.command
+    elif args.action != "show" and args.name is not None:
+        raise StructureFileError("example", f"example {args.action} takes no name")
     elif args.action == "run-all":
         sf = text = None
         command = "example run-all"

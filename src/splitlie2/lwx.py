@@ -717,7 +717,7 @@ def extract_bialgebroid(e: LWXStructure, sub_a: Subbundle, sub_b: Subbundle):
     s_b = transport(s_b, inv2, [list(col) for col in zip(*inv1)])
     if s_b.chart.rank1 != s_a.chart.rank2 or s_b.chart.rank2 != s_a.chart.rank1:
         raise ValueError("halves do not have dual ranks")
-    pair = BialgebroidPair(s_a, s_b)
+    pair = BialgebroidPair(SAlgebra(s_a), s_b)
     bi = check_bialgebroid(pair, derivation_checks=False)
     rep.add_flag("manin.pair", "extracted pair satisfies the compatibility equation",
                  bi.passed, "; ".join(r.check_id for r in bi.failures[:3]))

@@ -119,7 +119,10 @@ class SAlgebra:
     its first arguments with an earlier one, reuses that work.  Polys are
     never changed in place, so a memoised result can be handed out as is.
     The memo grows until clear_memo(); the long-running checks clear it
-    once per random trial.
+    once per random trial.  The twist route takes the algebra its caller
+    built (mc_residual, twist_gamma, induced_dual_structure, a
+    BialgebroidPair and the checks of the pair), so one memo serves the
+    whole chain of calls on one structure.
 
     On cochains they are the Lie derivatives L0 = b1, L1_x = b2(x, .),
     L2_m = b2(m, .), L3_(x,y) = b3(x, y, .).  delta = {mu, .} and d_part =
@@ -235,9 +238,8 @@ class MCElement:
         return [self.h[j1][j] for j in range(self.chart.rank2)]
 
 
-def mc_residual(s: Lie2Structure, m: MCElement):
+def mc_residual(alg: SAlgebra, m: MCElement):
     """The three flatness components; their sum is the full residual."""
-    alg = SAlgebra(s)
     hp = m.h_poly()
     kp = m.k_poly()
     r1 = alg.b1(hp)
@@ -254,9 +256,9 @@ def mc_residual(s: Lie2Structure, m: MCElement):
     return r1, r2, r3
 
 
-def mc_report(s: Lie2Structure, m: MCElement) -> CheckReport:
+def mc_report(alg: SAlgebra, m: MCElement) -> CheckReport:
     rep = CheckReport("maurer-cartan")
-    r1, r2, r3 = mc_residual(s, m)
+    r1, r2, r3 = mc_residual(alg, m)
     rep.add("mc.1", "[H] = 0", r1)
     rep.add("mc.2", "[K] + 1/2 [H,H] = 0", r2)
     rep.add("mc.3", "[H,K] + 1/6 [H,H,H] = 0", r3)
@@ -579,7 +581,7 @@ def solve_linear_mc(s: Lie2Structure, h_pattern, k_pattern=None) -> MCSolution:
         else:
             k[idx] = v.lift(aug) if isinstance(v, Poly) else Poly.const(aug, v)
     m = MCElement.build(aug, h=h, k=k)
-    residuals = mc_residual(s_aug, m)
+    residuals = mc_residual(SAlgebra(s_aug), m)
     rows, rhs = [], []
     seen = {}
     for res in residuals:

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .bracket import poisson_bracket
 from .gradedpoly import (
-    P,
     TH,
     XI,
     Chart,
@@ -43,9 +42,8 @@ from .structures import (
 )
 
 
-def twist_gamma(s: Lie2Structure, m: MCElement) -> Poly:
+def twist_gamma(alg: SAlgebra, m: MCElement) -> Poly:
     """Dual generating function produced by a degree-3 element."""
-    alg = SAlgebra(s)
     hp, kp = m.h_poly(), m.k_poly()
     return (
         alg.mu211
@@ -61,7 +59,7 @@ def decode_gamma(gamma: Poly, chart: Chart) -> Lie2Structure:
     The decoded structure has degree -1 frame of size rank2 (the dual of
     the original degree -2 slot) and degree -2 frame of size rank1.
     """
-    validate_generating_function(gamma, GAMMA_TRIDEGREES, (P, XI, TH), "dual ")
+    validate_generating_function(gamma, GAMMA_TRIDEGREES, "dual ")
     return decode_frames(
         [gamma.project_tridegree(t) for t in GAMMA_TRIDEGREES],
         [th_up(chart, j + 1) for j in range(chart.rank2)],
@@ -79,15 +77,10 @@ def encode_gamma(dual: Lie2Structure, chart: Chart) -> Poly:
     return encode_frames(dual, chart, th_dn, xi_dn, th_up, xi_up)
 
 
-def abelian_gamma(s: Lie2Structure) -> Poly:
-    """Dual function of the trivial twist: just the shared component."""
-    return SAlgebra(s).mu211
-
-
 # -- induced dual structure -----------------------------------------------------
 
 
-def dual_structure_formulas(s: Lie2Structure, m: MCElement) -> Lie2Structure:
+def dual_structure_formulas(alg: SAlgebra, m: MCElement) -> Lie2Structure:
     """Componentwise construction of the twisted dual structure.
 
     Built with the calculus operators only (no decoding), so it can be
@@ -100,10 +93,10 @@ def dual_structure_formulas(s: Lie2Structure, m: MCElement) -> Lie2Structure:
                             + sum_cyc L3_(H#a2, H#b2) c2
       anchor   = a o H#
     """
+    s = alg.s
     ch = s.chart
     n, r1, r2 = ch.base_dim, ch.rank1, ch.rank2
     out = Lie2Structure.zero(ch.swapped())
-    alg = SAlgebra(s)
     ops = Lie2Ops(s)
     # the Lie derivatives L1, L2, L3 and d (see SAlgebra)
     lie1, lie2, lie3, d = alg.b2, alg.b2, alg.b3, alg.d_part
@@ -152,24 +145,25 @@ def dual_structure_formulas(s: Lie2Structure, m: MCElement) -> Lie2Structure:
     return out
 
 
-def induced_dual_structure(s: Lie2Structure, m: MCElement):
+def induced_dual_structure(alg: SAlgebra, m: MCElement):
     """Twisted dual structure, decoded and cross-checked.
 
-    Returns (structure, report); the report includes the flatness gate,
-    the dual nilpotency, and the componentwise-formula comparison.  Raises
-    ValueError when m is not flat.
+    Returns (structure, gamma, report): gamma is the twisted generating
+    function the structure decodes from; the report includes the flatness
+    gate, the dual nilpotency, and the componentwise-formula comparison.
+    Raises ValueError when m is not flat.
     """
     rep = CheckReport("induced-dual")
-    res = mc_residual(s, m)
+    res = mc_residual(alg, m)
     flat = all(r.is_zero for r in res)
     rep.add_flag("dual.flat", "twisting element satisfies the flatness equation", flat,
                  "; ".join(r.render() for r in res if not r.is_zero))
     if not flat:
         raise ValueError("twisting element is not flat")
-    gamma = twist_gamma(s, m)
+    gamma = twist_gamma(alg, m)
     rep.add("dual.nilpotency", "{gamma, gamma} = 0", poisson_bracket(gamma, gamma))
-    decoded = decode_gamma(gamma, s.chart)
-    direct = dual_structure_formulas(s, m)
+    decoded = decode_gamma(gamma, alg.chart)
+    direct = dual_structure_formulas(alg, m)
     rep.add_flag(
         "dual.formulas",
         "decoded twist equals the componentwise construction",
@@ -179,7 +173,7 @@ def induced_dual_structure(s: Lie2Structure, m: MCElement):
     axioms = check_lie2_axioms(decoded)
     rep.add_flag("dual.axioms", "twisted dual satisfies the structure axioms",
                  axioms.passed, "; ".join(r.check_id for r in axioms.failures[:5]))
-    return decoded, rep
+    return decoded, gamma, rep
 
 
 # -- compatible pairs -----------------------------------------------------------
@@ -189,15 +183,15 @@ class BialgebroidPair:
     """A structure and a dual structure sharing the (2,1,1) component; alg
     is the SAlgebra of the structure, shared by the checks of the pair."""
 
-    def __init__(self, s: Lie2Structure, dual: Lie2Structure):
-        self.s = s
+    def __init__(self, alg: SAlgebra, dual: Lie2Structure):
+        self.alg = alg
+        self.s = alg.s
         self.dual = dual
-        self.chart = s.chart
-        if dual.chart != s.chart.swapped():
+        self.chart = alg.chart
+        if dual.chart != self.chart.swapped():
             raise ValueError("dual structure must live on the swapped chart")
-        self.alg = SAlgebra(s)
-        self.mu = self.alg.mu
-        self.gamma = encode_gamma(dual, s.chart)
+        self.mu = alg.mu
+        self.gamma = encode_gamma(dual, self.chart)
         self.mu211 = self.mu.project_tridegree((2, 1, 1))
         g211 = self.gamma.project_tridegree((2, 1, 1))
         if self.mu211 != g211:
@@ -206,12 +200,14 @@ class BialgebroidPair:
 
     @staticmethod
     def from_twist(s: Lie2Structure, m: MCElement) -> "BialgebroidPair":
-        dual, _ = induced_dual_structure(s, m)
-        return BialgebroidPair(s, dual)
+        alg = SAlgebra(s)
+        return BialgebroidPair(alg, induced_dual_structure(alg, m)[0])
 
     @staticmethod
     def abelian(s: Lie2Structure) -> "BialgebroidPair":
-        return BialgebroidPair(s, decode_gamma(abelian_gamma(s), s.chart))
+        """The trivial dual: its function is just the shared component."""
+        alg = SAlgebra(s)
+        return BialgebroidPair(alg, decode_gamma(alg.mu211, s.chart))
 
 
 def check_bialgebroid(pair: BialgebroidPair, derivation_checks=True) -> CheckReport:
@@ -276,10 +272,9 @@ def check_bialgebroid(pair: BialgebroidPair, derivation_checks=True) -> CheckRep
     return rep
 
 
-def mce1_condition_check(s: Lie2Structure, m: MCElement) -> CheckReport:
+def mce1_condition_check(alg: SAlgebra, m: MCElement) -> CheckReport:
     """The three bracket conditions for a flat twist to give a compatible pair."""
     rep = CheckReport("twist-compatibility")
-    alg = SAlgebra(s)
     hp, kp = m.h_poly(), m.k_poly()
     rep.add(
         "mce1.1",
@@ -305,28 +300,20 @@ def mce1_condition_check(s: Lie2Structure, m: MCElement) -> CheckReport:
 def relative_mc_residual(pair: BialgebroidPair, m: MCElement):
     """Components of the flatness equation twisted by the dual coboundary.
 
-    Normalized so that for the trivial dual the three components reduce
-    exactly to the plain flatness components.
+    The plain flatness components minus the dual pieces {g112, H} and
+    {g013, H} + {g112, K}; the pair shares its (2,1,1) component, so the
+    first component is the plain one, and for the trivial dual all three
+    are.
     """
-    alg = pair.alg
-    gamma = pair.gamma
-    g211 = gamma.project_tridegree((2, 1, 1))
-    g112 = gamma.project_tridegree((1, 1, 2))
-    g013 = gamma.project_tridegree((0, 1, 3))
+    g112 = pair.gamma.project_tridegree((1, 1, 2))
+    g013 = pair.gamma.project_tridegree((0, 1, 3))
     hp, kp = m.h_poly(), m.k_poly()
-    r1 = -poisson_bracket(g211, hp)
-    r2 = (
-        -poisson_bracket(g211, kp)
-        - poisson_bracket(g112, hp)
-        + Fraction(1, 2) * alg.b2(hp, hp)
+    r1, r2, r3 = mc_residual(pair.alg, m)
+    return (
+        r1,
+        r2 - poisson_bracket(g112, hp),
+        r3 - poisson_bracket(g013, hp) - poisson_bracket(g112, kp),
     )
-    r3 = (
-        -poisson_bracket(g013, hp)
-        - poisson_bracket(g112, kp)
-        + alg.b2(hp, kp)
-        + Fraction(1, 6) * alg.b3(hp, hp, hp)
-    )
-    return r1, r2, r3
 
 
 def relative_mc_report(pair: BialgebroidPair, m: MCElement) -> CheckReport:
@@ -339,7 +326,7 @@ def relative_mc_report(pair: BialgebroidPair, m: MCElement) -> CheckReport:
 
 
 def lambda_function(pair: BialgebroidPair, m: MCElement) -> Poly:
-    return pair.gamma + twist_gamma(pair.s, m) - pair.mu211
+    return pair.gamma + twist_gamma(pair.alg, m) - pair.mu211
 
 
 def lambda_nilpotency(pair: BialgebroidPair, m: MCElement):

@@ -12,6 +12,10 @@ mismatching entry names.  ``test_derived_table.py`` compares them with the
 package.  ``check_bialgebroid`` is the bialgebroid check of
 ``splitlie2.twisting`` from before its derivation loops took each unary
 image once; ``test_twisting.py`` compares its records with the package.
+``relative_mc_residual`` is the relative flatness residual of
+``splitlie2.twisting`` from before it read the plain flatness components
+of ``mc_residual``; it writes out all three components, and
+``test_twisting.py`` compares their rendered residuals with the package.
 
 ``encode_mu``, ``encode_gamma``, ``validate_gamma``, ``momentum_components``
 with ``_components_to_list``, ``cochain_one_form_components``, ``embed1``,
@@ -40,7 +44,7 @@ from splitlie2.gradedpoly import (
     xi_dn,
     xi_up,
 )
-from splitlie2.multivectors import SAlgebra, section1, section2
+from splitlie2.multivectors import MCElement, SAlgebra, section1, section2
 from splitlie2.report import CheckReport
 from splitlie2.structures import GAMMA_TRIDEGREES, Lie2Structure
 from splitlie2.twisting import BialgebroidPair
@@ -455,3 +459,33 @@ def check_bialgebroid(pair: BialgebroidPair, derivation_checks=True) -> CheckRep
                 lhs - rhs,
             )
     return rep
+
+
+# -- relative flatness before it read the plain flatness components ---------------
+
+
+def relative_mc_residual(pair: BialgebroidPair, m: MCElement):
+    """Components of the flatness equation twisted by the dual coboundary.
+
+    Normalized so that for the trivial dual the three components reduce
+    exactly to the plain flatness components.
+    """
+    alg = pair.alg
+    gamma = pair.gamma
+    g211 = gamma.project_tridegree((2, 1, 1))
+    g112 = gamma.project_tridegree((1, 1, 2))
+    g013 = gamma.project_tridegree((0, 1, 3))
+    hp, kp = m.h_poly(), m.k_poly()
+    r1 = -poisson_bracket(g211, hp)
+    r2 = (
+        -poisson_bracket(g211, kp)
+        - poisson_bracket(g112, hp)
+        + Fraction(1, 2) * alg.b2(hp, hp)
+    )
+    r3 = (
+        -poisson_bracket(g013, hp)
+        - poisson_bracket(g112, kp)
+        + alg.b2(hp, kp)
+        + Fraction(1, 6) * alg.b3(hp, hp, hp)
+    )
+    return r1, r2, r3

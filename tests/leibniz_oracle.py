@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from splitlie2.gradedpoly import Chart, Poly, x_
 from splitlie2.lwx import LWXOps, LWXStructure, Subbundle
+from splitlie2.multivectors import SAlgebra
 from splitlie2.report import CheckReport
 from splitlie2.structures import (
     Lie2Ops,
@@ -821,7 +822,7 @@ def extract_bialgebroid(e: LWXStructure, sub_a: Subbundle, sub_b: Subbundle):
     s_b = transport(s_b, inv2, [list(col) for col in zip(*inv1)])
     if s_b.chart.rank1 != s_a.chart.rank2 or s_b.chart.rank2 != s_a.chart.rank1:
         raise ValueError("halves do not have dual ranks")
-    pair = BialgebroidPair(s_a, s_b)
+    pair = BialgebroidPair(SAlgebra(s_a), s_b)
     bi = check_bialgebroid(pair, derivation_checks=False)
     rep.add_flag("manin.pair", "extracted pair satisfies the compatibility equation",
                  bi.passed, "; ".join(r.check_id for r in bi.failures[:3]))

@@ -15,6 +15,7 @@ from splitlie2.cochains import verify_calculus_identities
 from splitlie2.gradedpoly import Poly
 from splitlie2.multivectors import (
     MCElement,
+    SAlgebra,
     mc_residual,
     solve_linear_mc,
     verify_hp_axioms,
@@ -61,7 +62,7 @@ def test_criterion_01_lsa3_induced_dual_ternary_values():
     ok = True
     for k0 in (1, 5):
         ex = lsa3(k0)
-        dual, rep = induced_dual_structure(ex["structure"], ex["mc"])
+        dual, _, rep = induced_dual_structure(SAlgebra(ex["structure"]), ex["mc"])
         ok &= rep.passed
         ch = dual.chart
         want = Poly.const(ch, Fraction(-4 * k0))
@@ -83,7 +84,7 @@ def test_criterion_01_lsa3_induced_dual_ternary_values():
 def test_criterion_02_lsa3_flatness_and_free_volume_slot():
     ex = lsa3()
     s = ex["structure"]
-    residuals = mc_residual(s, ex["mc"])
+    residuals = mc_residual(SAlgebra(s), ex["mc"])
     ok = all(r.is_zero for r in residuals)
     h = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
     sol = solve_linear_mc(s, h, {(1, 2, 3): None})
@@ -97,8 +98,9 @@ def test_criterion_03_string_example_values():
     s, c, b = exs["structure"], exs["brackets"], exs["bilinear_form"]
     ok = True
     for m in exs["mc_family"]:
-        ok &= all(r.is_zero for r in mc_residual(s, m))
-        dual, rep = induced_dual_structure(s, m)
+        alg = SAlgebra(s)
+        ok &= all(r.is_zero for r in mc_residual(alg, m))
+        dual, _, rep = induced_dual_structure(alg, m)
         ok &= rep.passed
         hvec = [m.h[a][0] for a in range(3)]
         for j in range(3):
@@ -241,9 +243,10 @@ def test_criterion_09_twist_compatibility_and_combined_nilpotency():
     for m in exs["mc_family"]:
         flats.append((exs["structure"], m))
     for s, m in flats:
-        cond = mce1_condition_check(s, m)
-        dual, _ = induced_dual_structure(s, m)
-        bi = check_bialgebroid(BialgebroidPair(s, dual), derivation_checks=False)
+        alg = SAlgebra(s)
+        cond = mce1_condition_check(alg, m)
+        dual, _, _ = induced_dual_structure(alg, m)
+        bi = check_bialgebroid(BialgebroidPair(alg, dual), derivation_checks=False)
         ok &= cond.passed == bi.passed
     pairs_with_elements = []
     base = BialgebroidPair.abelian(ex1["structure"])

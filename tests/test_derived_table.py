@@ -22,9 +22,10 @@ from splitlie2.bracket import derived_bracket, derived_table
 from splitlie2.builtin import builtin_example, example_names
 from splitlie2.gradedpoly import Chart, Poly, p_, th_dn, th_up, x_, xi_dn, xi_up
 from splitlie2.lwx import build_double, derived_mismatches
+from splitlie2.multivectors import SAlgebra
 from splitlie2.randomsuite import structure_suite
 from splitlie2.structures import decode_mu, encode_mu
-from splitlie2.twisting import BialgebroidPair, abelian_gamma, decode_gamma, twist_gamma
+from splitlie2.twisting import BialgebroidPair, decode_gamma, twist_gamma
 
 SUITE = structure_suite(50, seed=11)
 DOUBLES = [("lsa3", True), ("string_sl2", True), ("crossed_sl2", False),
@@ -107,11 +108,11 @@ def _builtins():
 
 
 def _gammas():
-    out = [(abelian_gamma(ex["structure"]), ex["structure"].chart) for ex in _builtins()]
-    out += [(abelian_gamma(s), s.chart) for s, _ in SUITE]
+    out = [(SAlgebra(ex["structure"]).mu211, ex["structure"].chart) for ex in _builtins()]
+    out += [(SAlgebra(s).mu211, s.chart) for s, _ in SUITE]
     for name in TWISTED:
         ex = builtin_example(name)
-        out.append((twist_gamma(ex["structure"], ex["mc"]), ex["structure"].chart))
+        out.append((twist_gamma(SAlgebra(ex["structure"]), ex["mc"]), ex["structure"].chart))
     return out
 
 
@@ -125,7 +126,7 @@ def test_decode_mu_matches_oracle_on_builtins_and_twisted_duals():
     structures = [ex["structure"] for ex in _builtins()]
     for name in TWISTED:
         ex = builtin_example(name)
-        structures.append(decode_gamma(twist_gamma(ex["structure"], ex["mc"]),
+        structures.append(decode_gamma(twist_gamma(SAlgebra(ex["structure"]), ex["mc"]),
                                        ex["structure"].chart))
     for s in structures:
         mu = encode_mu(s)

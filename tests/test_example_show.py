@@ -1,5 +1,6 @@
-"""example show on names and parameters it cannot build: exit 2 with a
-message located at "example", and no tensor built."""
+"""example on arguments it cannot use: a name or parameter show cannot
+build, show with no name, and a name after list or run-all.  Each exits 2
+with the JSON error located at "example" on stdout, and builds nothing."""
 
 import contextlib
 import io
@@ -48,3 +49,18 @@ def test_example_at_the_limits_reads_back(tmp_path, name):
     path = tmp_path / "ex.json"
     path.write_text(out)
     assert _run("--file", str(path), "check-structure")[0] == 0
+
+
+def test_example_show_without_a_name_is_a_located_error(capsys):
+    code, out = _run("example", "show")
+    assert code == 2 and capsys.readouterr().err == ""
+    assert json.loads(out) == {"error": "example: example show needs a name", "exit": 2}
+
+
+@pytest.mark.parametrize("action", ["list", "run-all"])
+def test_a_name_after_list_or_run_all_is_a_located_error(monkeypatch, action):
+    ran = []
+    monkeypatch.setattr(cli, "_example_battery", lambda *a: ran.append(a) or [])
+    code, out = _run("example", action, "lsa3")
+    assert code == 2 and ran == []
+    assert json.loads(out) == {"error": f"example: example {action} takes no name", "exit": 2}

@@ -294,13 +294,12 @@ def test_lwx_transport_rejects_the_same_frames_as_before():
     assert lwx_transport(e, unit, unit).equals(oracle.lwx_transport(e, unit, unit))
 
 
-@pytest.mark.parametrize("with_mc,builds", [(False, 2), (True, 3)])
+@pytest.mark.parametrize("with_mc,builds", [(False, 1), (True, 1)])
 def test_bialgebroid_check_shares_the_pair_salgebra(tmp_path, monkeypatch, capsys,
                                                      with_mc, builds):
-    """check_bialgebroid and relative_mc_residual read the pair's SAlgebra.
-    The builds left: the pair's own, the one in abelian_gamma that makes
-    the file's trivial dual, and with a degree-3 element the one in
-    twist_gamma that lambda_nilpotency runs (3 and 5 before the sharing)."""
+    """check_bialgebroid, relative_mc_residual and the twist_gamma that
+    lambda_nilpotency runs read the pair's SAlgebra, which also makes the
+    file's trivial dual: one build."""
     ex = builtin_example("lsa3")
     path = tmp_path / "lsa3.json"
     path.write_text(render_structure(ex["structure"], mc_blocks(ex["mc"]) if with_mc else None))

@@ -95,14 +95,15 @@ def test_string_ternary_bracket_nonzero():
 
 def test_mc_residual_examples():
     ex = lsa3()
-    r = mc_residual(ex["structure"], ex["mc"])
+    alg = SAlgebra(ex["structure"])
+    r = mc_residual(alg, ex["mc"])
     assert all(v.is_zero for v in r)
     zero = MCElement.build(ex["structure"].chart)
-    assert all(v.is_zero for v in mc_residual(ex["structure"], zero))
+    assert all(v.is_zero for v in mc_residual(alg, zero))
     exs = string_sl2()
     for m in exs["mc_family"]:
-        assert all(v.is_zero for v in mc_residual(exs["structure"], m))
-    assert mc_report(ex["structure"], ex["mc"]).passed
+        assert all(v.is_zero for v in mc_residual(SAlgebra(exs["structure"]), m))
+    assert mc_report(alg, ex["mc"]).passed
 
 
 def test_mc_residual_components_have_distinct_shapes():
@@ -112,7 +113,7 @@ def test_mc_residual_components_have_distinct_shapes():
     s = ex["structure"]
     bad = MCElement.build(s.chart, h=[[1, 1, 0], [0, 1, 0], [0, 0, 2]],
                           k={(1, 2, 3): 1})
-    r1, r2, r3 = mc_residual(s, bad)
+    r1, r2, r3 = mc_residual(SAlgebra(s), bad)
     assert not all(v.is_zero for v in (r1, r2, r3))
 
 
@@ -125,7 +126,7 @@ def test_solver_volume_slot_is_free_for_lsa3():
     assert sol.dimension == 1
     assert sol.labels == ["K[1,2,3]"]
     m = sol.instantiate(s.chart, h, {(1, 2, 3): None}, free={0: Fraction(7)})
-    assert all(v.is_zero for v in mc_residual(s, m))
+    assert all(v.is_zero for v in mc_residual(SAlgebra(s), m))
     assert m.k[(1, 2, 3)] == Poly.const(s.chart, 7)
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from splitlie2.builtin import builtin_example, example_names, lsa3
+from splitlie2.multivectors import SAlgebra
 from splitlie2.sfile import (
     StructureFileError,
     dual_block,
@@ -36,7 +37,7 @@ def test_parse_render_roundtrip(name):
 
 def test_gamma_block_roundtrip():
     ex = lsa3()
-    dual, _ = induced_dual_structure(ex["structure"], ex["mc"])
+    dual, _, _ = induced_dual_structure(SAlgebra(ex["structure"]), ex["mc"])
     text = render_structure(ex["structure"], extra={"gamma": dual_block(dual)})
     sf = parse_structure_file(text)
     assert sf.dual is not None and sf.dual.equals(dual)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,9 +7,15 @@ import pytest
 import decode_oracle
 from splitlie2 import bracket, multivectors, twisting
 from splitlie2.bracket import poisson_bracket
-from splitlie2.builtin import builtin_example, lsa3, sl2_structure_constants, string_sl2
-from splitlie2.gradedpoly import Chart, Poly
-from splitlie2.multivectors import MCElement, mc_residual
+from splitlie2.builtin import (
+    builtin_example,
+    example_names,
+    lsa3,
+    sl2_structure_constants,
+    string_sl2,
+)
+from splitlie2.gradedpoly import Chart, Poly, x_
+from splitlie2.multivectors import MCElement, SAlgebra, mc_residual
 from splitlie2.randomsuite import random_valid_structure
 from splitlie2.structures import (
     GAMMA_TRIDEGREES,
@@ -20,7 +27,6 @@ from splitlie2.structures import (
 )
 from splitlie2.twisting import (
     BialgebroidPair,
-    abelian_gamma,
     check_bialgebroid,
     decode_gamma,
     dual_structure_formulas,
@@ -49,10 +55,9 @@ def _mc_suite():
 def test_trivial_twist_gives_shared_component():
     s = lsa3()["structure"]
     m = MCElement.build(s.chart)
-    from splitlie2.multivectors import SAlgebra
-
-    assert twist_gamma(s, m) == SAlgebra(s).mu211
-    dual, rep = induced_dual_structure(s, m)
+    alg = SAlgebra(s)
+    assert twist_gamma(alg, m) == alg.mu211
+    dual, _, rep = induced_dual_structure(alg, m)
     assert rep.passed
     # trivial twist: dual unary map is the transpose, everything else zero
     assert all(dual.mu3[i][j][k].is_zero for i in range(3) for j in range(3) for k in range(3))
@@ -62,17 +67,18 @@ def test_trivial_twist_gives_shared_component():
 
 def test_twist_supported_in_dual_gradings():
     for s, m in _mc_suite():
-        gamma = twist_gamma(s, m)
+        alg = SAlgebra(s)
+        gamma = twist_gamma(alg, m)
         for t, _ in gamma.tridegree_components().items():
             assert t in GAMMA_TRIDEGREES
-        if all(r.is_zero for r in mc_residual(s, m)):
+        if all(r.is_zero for r in mc_residual(alg, m)):
             assert poisson_bracket(gamma, gamma).is_zero
 
 
 def test_lsa3_induced_ternary_value():
     for k0 in (1, 5):
         ex = lsa3(k0)
-        dual, rep = induced_dual_structure(ex["structure"], ex["mc"])
+        dual, _, rep = induced_dual_structure(SAlgebra(ex["structure"]), ex["mc"])
         assert rep.passed
         ch = dual.chart
         want = Poly.const(ch, -4 * Fraction(k0))
@@ -92,7 +98,7 @@ def test_string_induced_binary_is_coadjoint_action():
     s = exs["structure"]
     c = exs["brackets"]
     for m in exs["mc_family"]:
-        dual, rep = induced_dual_structure(s, m)
+        dual, _, rep = induced_dual_structure(SAlgebra(s), m)
         assert rep.passed
         hvec = [m.h[a][0] for a in range(3)]
         for j in range(3):
@@ -107,10 +113,11 @@ def test_string_induced_binary_is_coadjoint_action():
 
 def test_decoded_twist_matches_componentwise_formulas():
     for s, m in _mc_suite():
-        if not all(r.is_zero for r in mc_residual(s, m)):
+        alg = SAlgebra(s)
+        if not all(r.is_zero for r in mc_residual(alg, m)):
             continue
-        gamma = twist_gamma(s, m)
-        assert decode_gamma(gamma, s.chart).equals(dual_structure_formulas(s, m))
+        gamma = twist_gamma(alg, m)
+        assert decode_gamma(gamma, s.chart).equals(dual_structure_formulas(alg, m))
 
 
 def test_encode_decode_gamma_roundtrip():
@@ -128,8 +135,6 @@ def test_encode_decode_gamma_roundtrip():
 
 def test_gamma_decode_validates_input():
     s = lsa3()["structure"]
-    from splitlie2.multivectors import SAlgebra
-
     with pytest.raises(ValueError):
         decode_gamma(SAlgebra(s).mu121, s.chart)  # wrong grading support
 
@@ -138,7 +143,7 @@ def test_morphism_from_induced_dual():
     # the pairing maps define a morphism from the twisted dual onto the base
     for ex in (lsa3(), lsa3(3)):
         s, m = ex["structure"], ex["mc"]
-        dual, _ = induced_dual_structure(s, m)
+        dual, _, _ = induced_dual_structure(SAlgebra(s), m)
         hconst = [[c.coefficient(()) for c in row] for row in m.h]
         ktens = m.k_tensor()
         r1, r2 = s.chart.rank1, s.chart.rank2
@@ -162,18 +167,20 @@ def test_bialgebroid_pair_checks():
 
 def test_bialgebroid_rejects_mismatched_shared_component():
     s = lsa3()["structure"]
-    dual = decode_gamma(abelian_gamma(s), s.chart)
+    alg = SAlgebra(s)
+    dual = decode_gamma(alg.mu211, s.chart)
     dual.mu2[0][0] = Poly.const(dual.chart, 5)
     with pytest.raises(ValueError):
-        BialgebroidPair(s, dual)
+        BialgebroidPair(alg, dual)
 
 
 def test_perturbed_dual_fails_with_localized_component():
     s = string_sl2()["structure"]
     m = string_sl2()["mc"]
-    dual, _ = induced_dual_structure(s, m)
+    alg = SAlgebra(s)
+    dual, _, _ = induced_dual_structure(alg, m)
     dual.mu4[0][0][1] = dual.mu4[0][0][1] + Poly.const(dual.chart, 1)
-    pair = BialgebroidPair(s, dual)
+    pair = BialgebroidPair(alg, dual)
     rep = check_bialgebroid(pair, derivation_checks=False)
     assert not rep.passed
     assert any(r.check_id.startswith("bi.component") for r in rep.failures)
@@ -181,11 +188,12 @@ def test_perturbed_dual_fails_with_localized_component():
 
 def test_twist_compatibility_matches_bialgebroid_verdict():
     for s, m in _mc_suite():
-        if not all(r.is_zero for r in mc_residual(s, m)):
+        alg = SAlgebra(s)
+        if not all(r.is_zero for r in mc_residual(alg, m)):
             continue
-        cond = mce1_condition_check(s, m)
-        dual, _ = induced_dual_structure(s, m)
-        pair = BialgebroidPair(s, dual)
+        cond = mce1_condition_check(alg, m)
+        dual, _, _ = induced_dual_structure(alg, m)
+        pair = BialgebroidPair(alg, dual)
         bi = check_bialgebroid(pair, derivation_checks=False)
         assert cond.passed == bi.passed
 
@@ -194,7 +202,7 @@ def test_relative_residual_reduces_to_plain_on_trivial_dual():
     for s, m in _mc_suite():
         pair = BialgebroidPair.abelian(s)
         rel = relative_mc_residual(pair, m)
-        plain = mc_residual(s, m)
+        plain = mc_residual(SAlgebra(s), m)
         assert all(a == b for a, b in zip(rel, plain))
 
 
@@ -220,6 +228,62 @@ def test_relative_flatness_equivalent_to_combined_nilpotency():
         assert all(r.is_zero for r in rel) == rep.records[0].passed
 
 
+def _seeded_element(rng, chart):
+    """H and K with small random entries, affine in the first base
+    coordinate when there is one; flat only by accident."""
+    def entry():
+        c = Poly.const(chart, rng.randint(-2, 2))
+        return c + rng.randint(-1, 1) * x_(chart, 1) if chart.base_dim else c
+    h = [[entry() for _ in range(chart.rank2)] for _ in range(chart.rank1)]
+    k = {idx: entry() for idx in itertools.combinations(range(1, chart.rank2 + 1), 3)}
+    return MCElement.build(chart, h=h, k=k)
+
+
+def _seeded_dual_pair(s, rng):
+    """s with its trivial dual, every dual tensor but the shared unary one
+    filled with small random values: a pair, though not a compatible one."""
+    alg = SAlgebra(s)
+    dual = decode_gamma(alg.mu211, s.chart)
+
+    def fill(t):
+        return [fill(v) if isinstance(v, list) else Poly.const(dual.chart, rng.randint(-2, 2))
+                for v in t]
+    dual.mu1, dual.mu3, dual.mu4, dual.mu5 = map(fill, (dual.mu1, dual.mu3, dual.mu4, dual.mu5))
+    return BialgebroidPair(alg, dual)
+
+
+def test_relative_residual_matches_the_written_out_oracle():
+    """relative_mc_residual reads the plain flatness components; the
+    oracle writes all three out.  Every builtin with its trivial dual and,
+    where it has a degree-3 element, its twisted dual, and abelian(2,4,1)
+    with a seeded dual (with four th_ frames {g013, H} and {g112, K} need
+    not vanish); the builtin's flat elements, the zero element and eight
+    seeded ones each."""
+    rng = random.Random(23)
+    flat = nonflat = 0
+    for name in example_names() + ["abelian(2,4,1)"]:
+        ex = builtin_example(name)
+        s = ex["structure"]
+        elements = ex.get("mc_family") or ([ex["mc"]] if ex.get("mc") else [])
+        pairs = [BialgebroidPair.abelian(s)]
+        if elements:
+            pairs.append(BialgebroidPair.from_twist(s, elements[0]))
+        if s.chart.rank2 > 3:
+            pairs.append(_seeded_dual_pair(s, rng))
+        elements = elements + [MCElement.build(s.chart)]
+        elements += [_seeded_element(rng, s.chart) for _ in range(8)]
+        for pair, m in itertools.product(pairs, elements):
+            new = relative_mc_residual(pair, m)
+            old = decode_oracle.relative_mc_residual(pair, m)
+            assert [r.render() for r in new] == [r.render() for r in old]
+            assert new == old
+            if all(r.is_zero for r in new):
+                flat += 1
+            else:
+                nonflat += 1
+    assert (flat, nonflat) == (59, 32)
+
+
 def test_lambda_decode_gives_valid_structure_when_flat():
     ex = lsa3()
     pair = BialgebroidPair.from_twist(ex["structure"], ex["mc"])
@@ -235,11 +299,11 @@ def _bialgebroid_pairs(bump):
     for name, twisted in (("lsa3", True), ("string_sl2", True), ("semidirect_poly", False)):
         ex = builtin_example(name)
         s = ex["structure"]
-        dual = (induced_dual_structure(s, ex["mc"])[0] if twisted
-                else decode_gamma(abelian_gamma(s), s.chart))
+        dual = (induced_dual_structure(SAlgebra(s), ex["mc"])[0] if twisted
+                else decode_gamma(SAlgebra(s).mu211, s.chart))
         if bump:
             dual.mu4[0][0][0] = dual.mu4[0][0][0] + Poly.const(dual.chart, 1)
-        out.append((name, BialgebroidPair(s, dual)))
+        out.append((name, BialgebroidPair(SAlgebra(s), dual)))
     return out
 
 

@@ -137,7 +137,7 @@ def test_calculus_identities_build_one_of_each(built):
 
 def test_lwx_check_on_a_twisted_pair_builds_two_algebras(built, tmp_path):
     ex = builtin_example("lsa3")
-    dual, _ = twisting.induced_dual_structure(ex["structure"], ex["mc"])
+    dual, _, _ = twisting.induced_dual_structure(multivectors.SAlgebra(ex["structure"]), ex["mc"])
     doc = structure_block(ex["structure"], {**mc_blocks(ex["mc"]), "gamma": dual_block(dual)})
     path = tmp_path / "lsa3_gamma.json"
     path.write_text(json.dumps(doc))
