@@ -46,7 +46,9 @@ from .structures import (
     frame_change,
     linear_components,
     map_sections,
+    map_tensor,
     nonzero_coords,
+    point_value,
     pull_back,
     transport,
     vec_add,
@@ -88,6 +90,9 @@ def pairing_gram(us, pairing, ws):
     return gram
 
 
+LWX_TENSORS = ("partial", "rho", "c11", "c12", "c21", "omega")
+
+
 @dataclass
 class LWXStructure:
     chart: Chart  # chart of the underlying half; frames have size r1 + r2
@@ -126,14 +131,18 @@ class LWXStructure:
 
     def equals(self, other: "LWXStructure") -> bool:
         return (self.chart == other.chart and self.pairing == other.pairing
-                and all(getattr(self, name) == getattr(other, name)
-                        for name in ("partial", "rho", "c11", "c12", "c21", "omega")))
+                and all(getattr(self, name) == getattr(other, name) for name in LWX_TENSORS))
+
+    def map_entries(self, fn) -> "LWXStructure":
+        """The structure with fn applied to every tensor entry."""
+        return LWXStructure(self.chart, *[map_tensor(fn, getattr(self, name))
+                                          for name in LWX_TENSORS], self.pairing)
 
 
 class LWXOps(Lie2Ops):
     """Section calculus of a metric double: the Lie2Ops brackets on its
     tensors, plus the pairing, D and the pairing-dual D terms of the mixed
-    brackets."""
+    brackets.  Its coefficients are those of the tensors, as in Lie2Ops."""
 
     def __init__(self, e: LWXStructure):
         self.e = e
@@ -143,8 +152,12 @@ class LWXOps(Lie2Ops):
         # c21 is stored [m][a]; the tables take both mixed brackets x slot first
         c21 = [[e.c21[m][a] for m in range(e.d2)] for a in range(e.d1)]
         self._tables(e.chart, e.d1, e.d2, e.rho, e.partial, e.c11, e.c12, c21, e.omega)
-        self._pair_rows = [[(m, s) for m, s in enumerate(row) if s] for row in e.pairing]
-        self._pair_cols = [[(a, row[m]) for a, row in enumerate(e.pairing) if row[m]]
+        # integral pairing entries as ints, so that products of plain-number
+        # coefficients with them stay ints (a Poly product coerces them anyway)
+        pairing = [[int(q) if q.denominator == 1 else q for q in map(Fraction, row)]
+                   for row in e.pairing]
+        self._pair_rows = [[(m, s) for m, s in enumerate(row) if s] for row in pairing]
+        self._pair_cols = [[(a, row[m]) for a, row in enumerate(pairing) if row[m]]
                            for m in range(self.r2)]
         self._sinv_rows = [[(a, c) for a, c in enumerate(row) if c] for row in sinv]
 
@@ -152,20 +165,20 @@ class LWXOps(Lie2Ops):
         out = self._zero
         for a, u in nonzero_coords(uv):
             for m, s in self._pair_rows[a]:
-                if wv[m].terms:
+                if wv[m]:
                     out = out + u * wv[m] * s
         return out
 
     def dmap(self, f: Poly):
         """D f, the pairing-dual of the anchor derivative of f."""
         rhs = {}
-        if f.terms and self._anchor_vars:
+        if self._anchor_vars and f:
             grad = self._gradient(f)
             for a, row in enumerate(self._anchor):
                 acc = self._zero
                 for i, r in row:
                     acc = acc + r * grad[i]
-                if acc.terms:
+                if acc:
                     rhs[a] = acc
         out = [self._zero] * self.r2
         if rhs:
@@ -181,13 +194,13 @@ class LWXOps(Lie2Ops):
         for a, u in nonzero_coords(coords):
             weight = self._zero
             for m, s in pairs[a]:
-                if other[m].terms:
+                if other[m]:
                     weight = weight + other[m] * s
-            if weight.terms:
+            if weight:
                 if sign < 0:
                     weight = -weight
                 for k, c in enumerate(self.dmap(u)):
-                    if c.terms:
+                    if c:
                         out[k] = out[k] + weight * c
         return out
 
@@ -435,8 +448,12 @@ def check_lwx_axioms(e: LWXStructure) -> CheckReport:
     Each bracket of frame vectors, and each mixed bracket of a frame vector
     with a probe-scaled one, is evaluated once; block (i) shares the frame
     tables.  A bracket or pairing with a zero argument is not evaluated.
+    Over a point base the tensor entries are taken as plain numbers (see
+    structures.point_value), and the only probe is 1.
     """
     rep = CheckReport("lwx-axioms")
+    if not e.chart.base_dim:
+        e = e.map_entries(point_value)
     ops = LWXOps(e)
     ch = e.chart
     d, n = e.d1, ch.base_dim
@@ -444,7 +461,7 @@ def check_lwx_axioms(e: LWXStructure) -> CheckReport:
     zero_vec = [zero] * d
     t = ops.units
     u = t.b1
-    probes = [Poly.const(ch, 1)] + [x_(ch, i + 1) for i in range(n)]
+    probes = [ops._one] + [x_(ch, i + 1) for i in range(n)]
     # scaled[c][fi] = f u_c; p12[a][c][fi] = u_a * f u_c; p21[c][a][fi] = f u_c * u_a
     scaled = [[[f if q == c else zero for q in range(d)] for f in probes] for c in range(d)]
     p12 = [[[t.l12[a][c]] + [ops.l2_12(u[a], v) for v in scaled[c][1:]] for c in range(d)]
@@ -456,10 +473,10 @@ def check_lwx_axioms(e: LWXStructure) -> CheckReport:
         return ops.pair(v, w) if vec_nonzero(v) and vec_nonzero(w) else zero
 
     def anchor(v, f):
-        return ops.anchor(v, f) if f.terms and vec_nonzero(v) else zero
+        return ops.anchor(v, f) if f and vec_nonzero(v) else zero
 
     def dmap(f):
-        return ops.dmap(f) if f.terms else zero_vec
+        return ops.dmap(f) if f else zero_vec
 
     # (i) the underlying two-term bracket system
     check_leibniz2_tables(ops, t, rep, "lwx.i")

@@ -125,8 +125,11 @@ class SAlgebra:
     whole chain of calls on one structure.
 
     On cochains they are the Lie derivatives L0 = b1, L1_x = b2(x, .),
-    L2_m = b2(m, .), L3_(x,y) = b3(x, y, .).  delta = {mu, .} and d_part =
-    {mu121, .} bracket afresh: no caller repeats an argument.
+    L2_m = b2(m, .), L3_(x,y) = b3(x, y, .).  d_part = {mu121, .} is the
+    first prefix of b2 and reads and fills the same memo, because callers
+    repeat its arguments (dual_structure_formulas on equal entries of a
+    degree-3 element, build_double on the frames of each half).
+    delta = {mu, .} brackets afresh.
     """
 
     def __init__(self, s: Lie2Structure):
@@ -169,7 +172,7 @@ class SAlgebra:
         return poisson_bracket(self.mu, p)
 
     def d_part(self, p: Poly) -> Poly:
-        return poisson_bracket(self.mu121, p)
+        return self._nested(self.mu121, (p,))
 
 
 # -- degree-3 elements ---------------------------------------------------------

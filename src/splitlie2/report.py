@@ -15,8 +15,10 @@ ENGINE_CONVENTION = "pair-signs {p,x}=-1 {xi_,xi^}=-1 {th_,th^}=+1"
 
 
 def render_residual(value, scale=1) -> str | None:
-    """Canonical text of a residual, each nonzero polynomial in it
-    multiplied by scale first; None when it vanishes."""
+    """Canonical text of a residual, each nonzero polynomial or number in it
+    multiplied by scale first; None when it vanishes.  A number (an int or
+    a Fraction, the coefficients of the axiom checks over a point base)
+    renders as its constant polynomial would."""
     if value is None:
         return None
     if isinstance(value, Poly):
@@ -30,9 +32,9 @@ def render_residual(value, scale=1) -> str | None:
                 if not v.is_zero:
                     parts.append(f"[{i + 1}] {(v if scale == 1 else v * scale).render()}")
             elif v:
-                parts.append(f"[{i + 1}] {v}")
+                parts.append(f"[{i + 1}] {v if scale == 1 else v * scale}")
         return "; ".join(parts) if parts else None
-    return None if not value else str(value)
+    return None if not value else str(value if scale == 1 else value * scale)
 
 
 @dataclass

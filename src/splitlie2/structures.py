@@ -27,6 +27,7 @@ from math import lcm
 
 from .bracket import derived_table, nilpotency_check
 from .gradedpoly import (
+    ONE_MONO,
     THD,
     X,
     XID,
@@ -76,6 +77,22 @@ def _tensor(chart, shape, data, name):
     return build(list(shape), data)
 
 
+def map_tensor(fn, t):
+    """A nested tensor with fn applied to each of its polynomial entries."""
+    if isinstance(t, Poly):
+        return fn(t)
+    return [map_tensor(fn, sub) for sub in t]
+
+
+def point_value(p: Poly):
+    """The value of a base polynomial over a point base (base_dim 0), where
+    it is a constant: an int, or a Fraction.
+
+    The axiom checks turn every tensor entry into its value once, at their
+    entry, and run the section calculus on plain numbers (see Lie2Ops)."""
+    return p.terms.get(ONE_MONO, 0)
+
+
 def tensor_entries(t, shape):
     """The (index_tuple, entry) pairs of a nested tensor, in index order."""
     level = [((), t)]
@@ -92,7 +109,7 @@ def alternation_failures(t, shape, arity):
     bad = []
     for idx, c in entry.items():
         for q in range(arity - 1):
-            if not (c + entry[idx[:q] + (idx[q + 1], idx[q]) + idx[q + 2:]]).is_zero:
+            if c + entry[idx[:q] + (idx[q + 1], idx[q]) + idx[q + 2:]]:
                 bad.append(idx)
                 break
     return bad
@@ -160,13 +177,8 @@ class Lie2Structure:
 
     def map_entries(self, fn, chart: Chart | None = None) -> "Lie2Structure":
         """The structure with fn applied to every entry, on `chart` if given."""
-        def deep(node):
-            if isinstance(node, Poly):
-                return fn(node)
-            return [deep(s) for s in node]
-
         return Lie2Structure(chart or self.chart, *[
-            deep(t) for t in (self.mu1, self.mu2, self.mu3, self.mu4, self.mu5)])
+            map_tensor(fn, t) for t in (self.mu1, self.mu2, self.mu3, self.mu4, self.mu5)])
 
     def lift(self, chart: Chart) -> "Lie2Structure":
         return self.map_entries(lambda p: p.lift(chart), chart)
@@ -201,7 +213,7 @@ def vec_scale(u, c):
 
 
 def vec_nonzero(u):
-    return any(a.terms for a in u)
+    return any(u)
 
 
 def d_dx(f: Poly, i: int) -> Poly:
@@ -227,7 +239,7 @@ def d_dx(f: Poly, i: int) -> Poly:
 
 def nonzero_coords(vec):
     """(index, entry) pairs of the nonzero entries of a coefficient vector."""
-    return [(i, c) for i, c in enumerate(vec) if c.terms]
+    return [(i, c) for i, c in enumerate(vec) if c]
 
 
 def _sparse(t, depth):
@@ -236,6 +248,18 @@ def _sparse(t, depth):
     if depth == 0:
         return nonzero_coords(t)
     return [_sparse(sub, depth - 1) for sub in t]
+
+
+def _coefficient_ring(chart, tensors):
+    """(zero, one) of the coefficients that the tensors hold: plain numbers
+    once an axiom check has taken each entry's point_value, else base
+    polynomials on chart.  The first entry found decides."""
+    for t in tensors:
+        while type(t) is list and t:
+            t = t[0]
+        if type(t) is not list:
+            return (Poly.zero(chart), Poly.const(chart, 1)) if isinstance(t, Poly) else (0, 1)
+    return Poly.zero(chart), Poly.const(chart, 1)
 
 
 class Lie2Ops:
@@ -247,6 +271,11 @@ class Lie2Ops:
     arguments and the nonzero table entries.  Section coefficients are base
     (even) polynomials, so products commute and the loop order cannot change
     a result.
+
+    The coefficients are whatever the tensors hold: base polynomials, or,
+    over a point base, the plain numbers of point_value.  The calculus uses
+    only + - * and truthiness on them, and the anchor terms, the one place
+    that differentiates, vanish over a point.
     """
 
     def __init__(self, s):
@@ -262,7 +291,7 @@ class Lie2Ops:
         l2(m, x), both indexed x slot first.  self.units is the FrameTables
         of the unit frames."""
         self.chart, self.r1, self.r2, self.n = chart, r1, r2, chart.base_dim
-        self._zero = Poly.zero(chart)
+        self._zero, self._one = _coefficient_ring(chart, (unary, b11, b12, ternary))
         self._anchor = _sparse(anchor, 1)
         self._anchor_vars = sorted({i for row in self._anchor for i, _ in row})
         self._unary = _sparse(unary, 1)
@@ -274,12 +303,18 @@ class Lie2Ops:
         # unit vectors are the tensors themselves; the lists are shared
         # with the structure, and no consumer mutates them
         self.units = FrameTables(
-            [basis_vector(chart, r1, i) for i in range(r1)],
-            [basis_vector(chart, r2, m) for m in range(r2)],
+            [self._unit(r1, i) for i in range(r1)],
+            [self._unit(r2, m) for m in range(r2)],
             anchor, unary, b11, b12,
             [[b21[a][m] for a in range(r1)] for m in range(r2)],
             ternary,
         )
+
+    def _unit(self, rank, i):
+        """The i-th unit coefficient vector of length rank."""
+        v = [self._zero] * rank
+        v[i] = self._one
+        return v
 
     def _gradient(self, f: Poly):
         """x_i-derivatives of f for the coordinates some anchor row uses."""
@@ -297,7 +332,7 @@ class Lie2Ops:
                 entries = row[b]
                 if entries:
                     c = ua * vb
-                    if c.terms:
+                    if c:
                         for k, t in entries:
                             out[k] = out[k] + c * t
         return out
@@ -312,13 +347,13 @@ class Lie2Ops:
 
     def anchor(self, xv, f: Poly) -> Poly:
         out = self._zero
-        if not f.terms or not self._anchor_vars:
+        if not self._anchor_vars or not f:
             return out
         grad = self._gradient(f)
         for j, c in nonzero_coords(xv):
             for i, mu in self._anchor[j]:
                 df = grad[i]
-                if df.terms:
+                if df:
                     out = out + c * mu * df
         return out
 
@@ -354,7 +389,7 @@ class Lie2Ops:
                 if not any(row):
                     continue
                 ab = a * b
-                if not ab.terms:
+                if not ab:
                     continue
                 for k, c in zs:
                     entries = row[k]
@@ -740,15 +775,18 @@ def check_lie2_axioms(s: Lie2Structure) -> CheckReport:
 
     The brackets run on d*s with integer entries (see clearing_denominator).
     Every residual is quadratic in the tensors, so it is d^2 times the
-    residual of s, and the report renders it divided by d^2.
+    residual of s, and the report renders it divided by d^2.  Over a point
+    base the entries are then taken as plain numbers (see point_value).
     """
     report = CheckReport("lie2-axioms")
-    for bad in s.symmetry_violations():
-        report.add_flag("symmetry", "mu3/mu5 alternating", False, bad)
     d = clearing_denominator(s.entries())
     if d != 1:
         s = s.map_entries(lambda p: times_int(p, d))
         report.scale = Fraction(1, d * d)
+    if not s.chart.base_dim:
+        s = s.map_entries(point_value)
+    for bad in s.symmetry_violations():
+        report.add_flag("symmetry", "mu3/mu5 alternating", False, bad)
     ops = Lie2Ops(s)
     t = ops.units
     check_leibniz2_tables(ops, t, report, "leibniz2")

@@ -4,14 +4,19 @@ abelian one).  The twist route takes the algebra its caller built, so a
 command builds one algebra per structure it brackets in: the file's
 structure (the pair's algebra, which also makes the trivial dual), the
 dual half of a double, and in manin-extract the extracted pair and the
-dual half of its double."""
+dual half of its double.
+
+BRACKETS counts the poisson_bracket calls per command on the same file,
+through the references of the modules that import it (the calls inside
+bracket.py, such as derived_table's, are not counted).  SAlgebra.d_part
+goes through the algebra's memo, so a repeated {mu121, p} is one call."""
 
 import contextlib
 import io
 
 import pytest
 
-from splitlie2 import cli, multivectors
+from splitlie2 import cli, cochains, lwx, multivectors, twisting
 
 COUNTS = {
     "twist": 1,
@@ -47,3 +52,30 @@ def test_algebras_built_per_command(monkeypatch, lsa3_file, command):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["--quiet", "--file", lsa3_file, *command.split()]) == 0
     assert len(built) == COUNTS[command]
+
+
+BRACKETS = {
+    "twist": 58,
+    "mc-check": 11,
+    "bialgebroid-check": 267,
+    "dirac-check --weak --graph": 52,
+    "manin-extract": 81,
+    "double": 76,
+    "lwx-check": 76,
+}
+
+
+@pytest.mark.parametrize("command", sorted(BRACKETS))
+def test_brackets_per_command(monkeypatch, lsa3_file, command):
+    calls = []
+    bracket = multivectors.poisson_bracket
+
+    def counting(p, q):
+        calls.append(None)
+        return bracket(p, q)
+
+    for module in (cochains, lwx, multivectors, twisting):
+        monkeypatch.setattr(module, "poisson_bracket", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--quiet", "--file", lsa3_file, *command.split()]) == 0
+    assert len(calls) == BRACKETS[command]
