@@ -18,7 +18,13 @@ from splitlie2.builtin import builtin_example
 from splitlie2.gradedpoly import Chart, Poly
 from splitlie2.lwx import LWX_TENSORS, build_double, check_lwx_axioms
 from splitlie2.randomsuite import structure_suite
-from splitlie2.structures import Lie2Structure, check_lie2_axioms, map_tensor
+from splitlie2.report import render_residual
+from splitlie2.structures import (
+    Lie2Structure,
+    check_lie2_axioms,
+    map_tensor,
+    signed_permutations,
+)
 from splitlie2.twisting import BialgebroidPair
 
 POINT_SUITE = [(i, s) for i, (s, _) in enumerate(structure_suite(40, 11))
@@ -61,25 +67,24 @@ def assert_shared_records_equal(point, line):
     assert [a[k] for k in shared] == [b[k] for k in shared]
 
 
-def _doubles():
-    out = []
-    for name in ("lsa3", "string_sl2"):
-        ex = builtin_example(name)
-        out.append((f"{name}-twist", BialgebroidPair.from_twist(ex["structure"], ex["mc"])))
-    for name in ("crossed_sl2", "abelian"):
-        out.append((f"{name}-abelian", BialgebroidPair.abelian(builtin_example(name)["structure"])))
-    return [(label, build_double(pair, cross_check=False)[0]) for label, pair in out]
+def _twisted(name):
+    ex = builtin_example(name)
+    pair = BialgebroidPair.from_twist(ex["structure"], ex["mc"])
+    return build_double(pair, cross_check=False)[0]
+
+
+def _abelian(name):
+    pair = BialgebroidPair.abelian(builtin_example(name)["structure"])
+    return build_double(pair, cross_check=False)[0]
 
 
 def _perturbed_double():
     """The lsa3 twisted double with c21 and omega entries bumped by 1/2 and
     c11 made non-skew in one slot."""
-    _, e = _doubles()[0]
+    e = _twisted("lsa3")
     half = Poly.const(e.chart, Fraction(1, 2))
     e.c21[1][3][2] = e.c21[1][3][2] + half
-    for p, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                    ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)):
-        a, b, c = p
+    for (a, b, c), sign in signed_permutations((0, 1, 2)):
         e.omega[a][b][c][1] = e.omega[a][b][c][1] + half * sign
     e.c11[0][4][1] = e.c11[0][4][1] + half
     return e
@@ -99,7 +104,10 @@ def test_point_suite_covers_both_verdicts_and_denominators():
     assert verdicts == {True, False} and fractional
 
 
-DOUBLES = _doubles() + [("lsa3-perturbed", _perturbed_double())]
+# the four base_dim 0 builtins, and a double that fails
+DOUBLES = [("lsa3-twist", _twisted("lsa3")), ("string_sl2-twist", _twisted("string_sl2")),
+           ("crossed_sl2-abelian", _abelian("crossed_sl2")), ("abelian-abelian", _abelian("abelian")),
+           ("lsa3-perturbed", _perturbed_double())]
 
 
 @pytest.mark.parametrize("label,e", DOUBLES, ids=[label for label, _ in DOUBLES])
@@ -107,6 +115,15 @@ def test_double_axioms_match_the_poly_route(label, e):
     point, line = check_lwx_axioms(e), check_lwx_axioms(_double_on_a_line(e))
     assert_shared_records_equal(point, line)
     assert point.passed == (label != "lsa3-perturbed")
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 4), Fraction(1, 9)])
+@pytest.mark.parametrize("v", [0, 3, -3, Fraction(7, 2), Fraction(-5, 3), Fraction(4, 2)])
+def test_a_number_renders_as_its_constant_polynomial(v, scale):
+    ch = Chart(0, 1, 1)
+    assert render_residual(v, scale) == render_residual(Poly.const(ch, v), scale)
+    assert (render_residual([v, 0, v], scale)
+            == render_residual([Poly.const(ch, v), Poly.zero(ch), Poly.const(ch, v)], scale))
 
 
 @pytest.fixture
