@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import decode_oracle
+import twist_oracle
 from splitlie2 import bracket, multivectors, twisting
 from splitlie2.bracket import poisson_bracket
 from splitlie2.builtin import (
@@ -341,3 +343,86 @@ def test_bialgebroid_takes_each_unary_image_once(monkeypatch):
         check_bialgebroid(pair)
         counts[name] = len(calls)
     assert counts == {"lsa3": 319, "string_sl2": 133}
+
+
+def _bumped(dual, rng):
+    """A copy of dual with mu4[0][0][0] and one entry of a random nonempty
+    tensor other than the shared unary one raised by 1: the pair stays a
+    pair."""
+    out = dual.map_entries(lambda p: p)
+    one = Poly.const(out.chart, 1)
+    out.mu4[0][0][0] = out.mu4[0][0][0] + one
+    names = [n for n, shp in out.shape().items() if n != "mu2" and 0 not in shp]
+    t = getattr(out, rng.choice(names))
+    while isinstance(t[0], list):
+        t = t[rng.randrange(len(t))]
+    i = rng.randrange(len(t))
+    t[i] = t[i] + one
+    return out
+
+
+def _pair_suite():
+    """(name, structure, duals, elements): every builtin with its trivial
+    dual, its twisted dual where it has a flat element, and a bumped copy of
+    each; abelian(2,4,1) also with a seeded dual, where {g013, H} and
+    {g112, K} need not vanish.  The elements are the builtin's flat ones,
+    the zero element and four seeded ones."""
+    rng = random.Random(31)
+    out = []
+    for name in example_names() + ["abelian(2,4,1)"]:
+        ex = builtin_example(name)
+        s = ex["structure"]
+        flat = ex.get("mc_family") or ([ex["mc"]] if ex.get("mc") else [])
+        duals = [decode_gamma(SAlgebra(s).mu211, s.chart)]
+        if flat:
+            duals.append(induced_dual_structure(SAlgebra(s), flat[0])[0])
+        if s.chart.rank2 > 3:
+            duals.append(_seeded_dual_pair(s, rng).dual)
+        duals += [_bumped(d, rng) for d in duals]
+        elements = flat + [MCElement.build(s.chart)]
+        elements += [_seeded_element(rng, s.chart) for _ in range(4)]
+        out.append((name, s, duals, elements))
+    return out
+
+
+def _pair_run(module, pair, elements):
+    """Every pair check of module on one pair, in the order the commands
+    call them, as comparable values."""
+    out = []
+    for m in elements:
+        res = module.relative_mc_residual(pair, m)
+        gamma = module.twist_gamma(pair.alg, m)
+        out.append(([r.render() for r in res], res, gamma.render(), gamma,
+                    module.mce1_condition_check(pair.alg, m).to_dict()))
+    for derivation_checks in (False, True):
+        out.append(module.check_bialgebroid(pair, derivation_checks).to_dict())
+    return out
+
+
+@pytest.mark.parametrize("name", example_names() + ["abelian(2,4,1)"])
+def test_pair_checks_match_the_raw_bracket_oracle(name):
+    """The pair checks through the memos give the reports and residuals of
+    the raw-bracket copies, true and false verdicts alike."""
+    [(_, s, duals, elements)] = [t for t in _pair_suite() if t[0] == name]
+    verdicts = set()
+    for dual in duals:
+        new = _pair_run(twisting, BialgebroidPair(SAlgebra(s), dual), elements)
+        old = _pair_run(twist_oracle, BialgebroidPair(SAlgebra(s), dual), elements)
+        assert new == old
+        verdicts.add(new[-1]["summary"]["failed"] == 0)
+    # over the zero structure, on one degree -1 dual frame, every dual is compatible
+    assert verdicts == ({True} if name == "abelian" else {True, False})
+
+
+def test_pairs_built_in_turn_on_one_algebra_match_fresh_algebras():
+    """A pair's memo keys its own generating functions, so a second pair on
+    the same algebra, built after the first is collected, finds no entry of
+    the first: each run equals one on a fresh algebra."""
+    for _, s, duals, elements in _pair_suite():
+        alg = SAlgebra(s)
+        for dual in duals:
+            pair = BialgebroidPair(alg, dual)
+            got = _pair_run(twisting, pair, elements)
+            del pair
+            gc.collect()
+            assert got == _pair_run(twisting, BialgebroidPair(SAlgebra(s), dual), elements)
