@@ -110,54 +110,71 @@ def contract(p: Poly, comp_by_kind) -> Poly:
     return acc
 
 
-class SAlgebra:
-    """The homotopy Poisson algebra of one structure, and its calculus.
+class BracketMemo:
+    """Nested brackets {...{gen, a1}..., am} with every prefix in a memo.
 
-    b1, b2 and b3 are the derived brackets -{...{mu_k, a1}..., ak}; every
-    nested prefix {...{mu_k, a1}..., aj} is kept in a memo keyed by the
-    values of its arguments, so a bracket taken again, or one that shares
-    its first arguments with an earlier one, reuses that work.  Polys are
-    never changed in place, so a memoised result can be handed out as is.
-    The memo grows until clear_memo(); the long-running checks clear it
-    once per random trial.  The twist route takes the algebra its caller
-    built (mc_residual, twist_gamma, induced_dual_structure, a
-    BialgebroidPair and the checks of the pair), so one memo serves the
-    whole chain of calls on one structure.
-
-    On cochains they are the Lie derivatives L0 = b1, L1_x = b2(x, .),
-    L2_m = b2(m, .), L3_(x,y) = b3(x, y, .).  d_part = {mu121, .} is the
-    first prefix of b2 and reads and fills the same memo, because callers
-    repeat its arguments (dual_structure_formulas on equal entries of a
-    degree-3 element, build_double on the frames of each half).
-    delta = {mu, .} brackets afresh.
+    A prefix is keyed by its identity and the next argument by its value,
+    so a bracket taken again, or one that shares its first arguments with
+    an earlier one, reuses that work.  The first prefix is gen itself, so
+    gen must be a generating function the owner keeps alive (an attribute):
+    a freed object's id could be taken by a new Poly.  Every later prefix
+    is a memo value, alive as long as its key.  Polys are never changed in
+    place, so a memoised result can be handed out as is.  The memo grows
+    until clear_memo().
     """
 
-    def __init__(self, s: Lie2Structure):
-        self.s = s
-        self.chart = s.chart
-        self.mu = encode_mu(s)
-        self.mu211 = self.mu.project_tridegree((2, 1, 1))
-        self.mu121 = self.mu.project_tridegree((1, 2, 1))
-        self.mu031 = self.mu.project_tridegree((0, 3, 1))
+    def __init__(self):
         self._memo = {}
 
     def clear_memo(self):
         self._memo.clear()
 
     def _nested(self, gen: Poly, args) -> Poly:
-        """{...{gen, a1}..., am}, every prefix looked up in the memo first."""
         memo = self._memo
         r = gen
         for a in args:
             if not r.terms:
                 break  # {0, a} = 0
-            # r is a generator or a memo value, alive as long as its key
             key = (id(r), a)
             hit = memo.get(key)
             if hit is None:
                 hit = memo[key] = poisson_bracket(r, a)
             r = hit
         return r
+
+    def nested(self, gen: Poly, *args) -> Poly:
+        return self._nested(gen, args)
+
+
+class SAlgebra(BracketMemo):
+    """The homotopy Poisson algebra of one structure, and its calculus.
+
+    b1, b2 and b3 are the derived brackets -{...{mu_k, a1}..., ak}, taken
+    through the algebra's memo (see BracketMemo); it keys mu and its three
+    components.  verify_hp_axioms and verify_calculus_identities clear it
+    once per random trial.  The twist route takes the algebra its caller
+    built, so one memo serves the whole chain of calls on one structure:
+    mc_residual, twist_gamma and mce1_condition_check, and the checks of a
+    BialgebroidPair (check_bialgebroid takes delta a = {mu, a} through
+    nested).  The pair's own generating functions go through the pair's
+    memo, never this one, since an algebra can outlive a pair.
+
+    On cochains they are the Lie derivatives L0 = b1, L1_x = b2(x, .),
+    L2_m = b2(m, .), L3_(x,y) = b3(x, y, .).  d_part = {mu121, .} is the
+    first prefix of b2 and reads and fills the same memo, because callers
+    repeat its arguments (dual_structure_formulas on equal entries of a
+    degree-3 element, build_double on the frames of each half, twist_gamma
+    on the H that mc_residual brackets).  delta = {mu, .} brackets afresh.
+    """
+
+    def __init__(self, s: Lie2Structure):
+        super().__init__()
+        self.s = s
+        self.chart = s.chart
+        self.mu = encode_mu(s)
+        self.mu211 = self.mu.project_tridegree((2, 1, 1))
+        self.mu121 = self.mu.project_tridegree((1, 2, 1))
+        self.mu031 = self.mu.project_tridegree((0, 3, 1))
 
     def b1(self, p: Poly) -> Poly:
         return -self._nested(self.mu211, (p,))

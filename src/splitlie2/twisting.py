@@ -28,7 +28,7 @@ from .gradedpoly import (
     xi_dn,
     xi_up,
 )
-from .multivectors import MCElement, SAlgebra, mc_residual, section1, section2
+from .multivectors import BracketMemo, MCElement, SAlgebra, mc_residual, section1, section2
 from .report import CheckReport
 from .structures import (
     GAMMA_TRIDEGREES,
@@ -43,13 +43,15 @@ from .structures import (
 
 
 def twist_gamma(alg: SAlgebra, m: MCElement) -> Poly:
-    """Dual generating function produced by a degree-3 element."""
+    """Dual generating function produced by a degree-3 element, bracketed
+    through the algebra's memo (mc_residual has put {mu121, H} and
+    {{mu031, H}, H} there)."""
     hp, kp = m.h_poly(), m.k_poly()
     return (
         alg.mu211
-        + poisson_bracket(alg.mu121, hp)
-        + poisson_bracket(alg.mu121, kp)
-        + Fraction(1, 2) * poisson_bracket(poisson_bracket(alg.mu031, hp), hp)
+        + alg.d_part(hp)
+        + alg.d_part(kp)
+        + Fraction(1, 2) * alg.nested(alg.mu031, hp, hp)
     )
 
 
@@ -179,11 +181,17 @@ def induced_dual_structure(alg: SAlgebra, m: MCElement):
 # -- compatible pairs -----------------------------------------------------------
 
 
-class BialgebroidPair:
-    """A structure and a dual structure sharing the (2,1,1) component; alg
-    is the SAlgebra of the structure, shared by the checks of the pair."""
+class BialgebroidPair(BracketMemo):
+    """A structure and a dual structure sharing the (2,1,1) component.
+
+    alg is the SAlgebra of the structure, shared by the checks of the pair;
+    its memo keys the structure's generating functions.  The dual's, gamma
+    and its components g112 and g013, go through the pair's own memo
+    (nested), which lives and dies with the pair.
+    """
 
     def __init__(self, alg: SAlgebra, dual: Lie2Structure):
+        super().__init__()
         self.alg = alg
         self.s = alg.s
         self.dual = dual
@@ -191,11 +199,12 @@ class BialgebroidPair:
         if dual.chart != self.chart.swapped():
             raise ValueError("dual structure must live on the swapped chart")
         self.mu = alg.mu
+        self.mu211 = alg.mu211
         self.gamma = encode_gamma(dual, self.chart)
-        self.mu211 = self.mu.project_tridegree((2, 1, 1))
-        g211 = self.gamma.project_tridegree((2, 1, 1))
-        if self.mu211 != g211:
+        if self.gamma.project_tridegree((2, 1, 1)) != self.mu211:
             raise ValueError("pair does not share its (2,1,1) component")
+        self.g112 = self.gamma.project_tridegree((1, 1, 2))
+        self.g013 = self.gamma.project_tridegree((0, 1, 3))
         self.theta = self.mu + self.gamma - self.mu211
 
     @staticmethod
@@ -220,36 +229,30 @@ def check_bialgebroid(pair: BialgebroidPair, derivation_checks=True) -> CheckRep
     if not derivation_checks:
         return rep
 
-    ch, alg = pair.chart, pair.alg
-    gamma = pair.gamma
-    g112 = gamma.project_tridegree((1, 1, 2))
-
-    # every unary image is taken once per call, as a list over its frame
+    ch, alg, g112 = pair.chart, pair.alg, pair.g112
+    dstar = lambda p: pair.nested(pair.gamma, p)  # delta* = {gamma, .}
+    delta = lambda p: alg.nested(alg.mu, p)
     sections = [(xi_dn(ch, i + 1), 2) for i in range(ch.rank1)] + [
         (th_dn(ch, j + 1), 1) for j in range(ch.rank2)
     ]
-    dstar_img = [poisson_bracket(gamma, xp) for xp, _ in sections]
     for i, (xp, dx) in enumerate(sections):
         for j, (yp, _) in enumerate(sections):
-            lhs = poisson_bracket(gamma, alg.b2(xp, yp))
-            rhs = -alg.b2(dstar_img[i], yp) + (-1 if dx % 2 else 1) * alg.b2(xp, dstar_img[j])
+            lhs = dstar(alg.b2(xp, yp))
+            rhs = -alg.b2(dstar(xp), yp) + (-1 if dx % 2 else 1) * alg.b2(xp, dstar(yp))
             rep.add(
                 f"bi.derivation1[{i + 1},{j + 1}]",
                 "delta*[X,Y] = -[delta* X, Y] + (-1)^|X| [X, delta* Y]",
                 lhs - rhs,
             )
-    # [a, b]* = -{{g112, a}, b}, with the prefix {g112, a} shared
+    # [a, b]* = -{{g112, a}, b}
     duals = [(xi_up(ch, i + 1), 1) for i in range(ch.rank1)] + [
         (th_up(ch, j + 1), 2) for j in range(ch.rank2)
     ]
-    delta_img = [poisson_bracket(alg.mu, ap) for ap, _ in duals]
-    g_img = [poisson_bracket(g112, ap) for ap, _ in duals]
-    g_delta_img = [poisson_bracket(g112, v) for v in delta_img]
-    for i, (_, da) in enumerate(duals):
+    for i, (ap, da) in enumerate(duals):
         for j, (bp, _) in enumerate(duals):
-            lhs = poisson_bracket(alg.mu, -poisson_bracket(g_img[i], bp))
-            rhs = poisson_bracket(g_delta_img[i], bp) - (-1 if da % 2 else 1) * poisson_bracket(
-                g_img[i], delta_img[j])
+            lhs = delta(-pair.nested(g112, ap, bp))
+            rhs = pair.nested(g112, delta(ap), bp) - (-1 if da % 2 else 1) * pair.nested(
+                g112, ap, delta(bp))
             rep.add(
                 f"bi.derivation2[{i + 1},{j + 1}]",
                 "delta[a,b]* = -[delta a, b]* + (-1)^|a| [a, delta b]*",
@@ -258,12 +261,12 @@ def check_bialgebroid(pair: BialgebroidPair, derivation_checks=True) -> CheckRep
     # mixed consequence: the dual binary bracket against exact one-forms
     for mdx in range(ch.base_dim):
         f = x_(ch, mdx + 1)
-        dstar_f = poisson_bracket(g112, f)
-        g_df = poisson_bracket(g112, poisson_bracket(alg.mu121, f))
+        dstar_f = pair.nested(g112, f)
+        df = alg.d_part(f)
         for i in range(ch.rank1):
             xp = xi_dn(ch, i + 1)
             lhs = -alg.b2(xp, dstar_f)
-            rhs = -poisson_bracket(g_df, xp)
+            rhs = -pair.nested(g112, df, xp)
             rep.add(
                 f"bi.mixed[{mdx + 1},{i + 1}]",
                 "L2*_(d f) X = -[X, d* f]",
@@ -276,21 +279,11 @@ def mce1_condition_check(alg: SAlgebra, m: MCElement) -> CheckReport:
     """The three bracket conditions for a flat twist to give a compatible pair."""
     rep = CheckReport("twist-compatibility")
     hp, kp = m.h_poly(), m.k_poly()
-    rep.add(
-        "mce1.1",
-        "{shared, {ternary-part, H}} = 0",
-        poisson_bracket(alg.mu211, poisson_bracket(alg.mu031, hp)),
-    )
-    rep.add(
-        "mce1.2",
-        "{binary-part, {ternary-part, H}} = 0",
-        poisson_bracket(alg.mu121, poisson_bracket(alg.mu031, hp)),
-    )
-    rep.add(
-        "mce1.3",
-        "{ternary-part, {shared, K}} = 0",
-        poisson_bracket(alg.mu031, poisson_bracket(alg.mu211, kp)),
-    )
+    ternary_h = alg.nested(alg.mu031, hp)
+    rep.add("mce1.1", "{shared, {ternary-part, H}} = 0", alg.nested(alg.mu211, ternary_h))
+    rep.add("mce1.2", "{binary-part, {ternary-part, H}} = 0", alg.d_part(ternary_h))
+    rep.add("mce1.3", "{ternary-part, {shared, K}} = 0",
+            alg.nested(alg.mu031, alg.nested(alg.mu211, kp)))
     return rep
 
 
@@ -305,14 +298,12 @@ def relative_mc_residual(pair: BialgebroidPair, m: MCElement):
     first component is the plain one, and for the trivial dual all three
     are.
     """
-    g112 = pair.gamma.project_tridegree((1, 1, 2))
-    g013 = pair.gamma.project_tridegree((0, 1, 3))
     hp, kp = m.h_poly(), m.k_poly()
     r1, r2, r3 = mc_residual(pair.alg, m)
     return (
         r1,
-        r2 - poisson_bracket(g112, hp),
-        r3 - poisson_bracket(g013, hp) - poisson_bracket(g112, kp),
+        r2 - pair.nested(pair.g112, hp),
+        r3 - pair.nested(pair.g013, hp) - pair.nested(pair.g112, kp),
     )
 
 

@@ -8,8 +8,12 @@ dual half of its double.
 
 BRACKETS counts the poisson_bracket calls per command on the same file,
 through the references of the modules that import it (the calls inside
-bracket.py, such as derived_table's, are not counted).  SAlgebra.d_part
-goes through the algebra's memo, so a repeated {mu121, p} is one call."""
+bracket.py, such as derived_table's, are not counted), and
+TWISTED_BRACKETS on lsa3 with the dual its degree-3 element induces (a
+gamma block, written as the benchmark writes it).  Every bracket whose
+first argument is a generating function goes through a memo, the
+algebra's or the pair's, so a repeated {mu121, p} or {gamma, p} is one
+call."""
 
 import contextlib
 import io
@@ -17,6 +21,8 @@ import io
 import pytest
 
 from splitlie2 import cli, cochains, lwx, multivectors, twisting
+from splitlie2.builtin import builtin_example
+from splitlie2.sfile import dual_block, mc_blocks, render_structure
 
 COUNTS = {
     "twist": 1,
@@ -55,18 +61,38 @@ def test_algebras_built_per_command(monkeypatch, lsa3_file, command):
 
 
 BRACKETS = {
-    "twist": 58,
-    "mc-check": 11,
-    "bialgebroid-check": 267,
-    "dirac-check --weak --graph": 52,
+    "twist": 55,
+    "mc-check": 6,
+    "bialgebroid-check": 64,
+    "dirac-check --weak --graph": 46,
     "manin-extract": 81,
     "double": 76,
     "lwx-check": 76,
 }
 
+TWISTED_BRACKETS = {
+    "twist": 55,
+    "mc-check": 6,
+    "bialgebroid-check": 263,
+    "dirac-check --weak --graph": 118,
+    "manin-extract": 219,
+    "double": 145,
+    "lwx-check": 145,
+}
 
-@pytest.mark.parametrize("command", sorted(BRACKETS))
-def test_brackets_per_command(monkeypatch, lsa3_file, command):
+
+@pytest.fixture(scope="module")
+def twisted_lsa3_file(tmp_path_factory):
+    ex = builtin_example("lsa3")
+    pair = twisting.BialgebroidPair.from_twist(ex["structure"], ex["mc"])
+    text = render_structure(ex["structure"],
+                            extra={**mc_blocks(ex["mc"]), "gamma": dual_block(pair.dual)})
+    path = tmp_path_factory.mktemp("count") / "lsa3-twisted.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _brackets(monkeypatch, path, command):
     calls = []
     bracket = multivectors.poisson_bracket
 
@@ -77,5 +103,15 @@ def test_brackets_per_command(monkeypatch, lsa3_file, command):
     for module in (cochains, lwx, multivectors, twisting):
         monkeypatch.setattr(module, "poisson_bracket", counting)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["--quiet", "--file", lsa3_file, *command.split()]) == 0
-    assert len(calls) == BRACKETS[command]
+        assert cli.main(["--quiet", "--file", path, *command.split()]) == 0
+    return len(calls)
+
+
+@pytest.mark.parametrize("command", sorted(BRACKETS))
+def test_brackets_per_command(monkeypatch, lsa3_file, command):
+    assert _brackets(monkeypatch, lsa3_file, command) == BRACKETS[command]
+
+
+@pytest.mark.parametrize("command", sorted(TWISTED_BRACKETS))
+def test_brackets_per_command_on_a_twisted_pair(monkeypatch, twisted_lsa3_file, command):
+    assert _brackets(monkeypatch, twisted_lsa3_file, command) == TWISTED_BRACKETS[command]
