@@ -116,14 +116,6 @@ def poisson_bracket(f: Poly, g: Poly) -> Poly:
     return Poly(f.chart, acc)
 
 
-def derived_bracket(generator: Poly, args) -> Poly:
-    """Iterated bracket -{...{{generator, a1}, a2}..., am}."""
-    r = generator
-    for a in args:
-        r = poisson_bracket(r, a)
-    return -r
-
-
 def derived_table(generator: Poly, *frames):
     """Nested table T[i][j]... = -{...{{generator, frames[0][i]}, frames[1][j]}...}.
 

@@ -43,7 +43,6 @@ from .structures import (
     check_morphism,
     combine,
     const_frame,
-    frame_change,
     linear_components,
     map_sections,
     map_tensor,
@@ -836,16 +835,3 @@ def graph_morphism_data(e: LWXStructure, graph: GraphSubbundle) -> MorphismData:
     f1 = [[graph.basis1[i][a] for i in range(len(graph.basis1))] for a in range(d)]
     f2 = [[graph.basis2[j][mm] for j in range(len(graph.basis2))] for mm in range(d)]
     return MorphismData(f1, f2, graph.f3)
-
-
-# -- frame changes ------------------------------------------------------------------
-
-
-def lwx_transport(e: LWXStructure, t1, t2) -> LWXStructure:
-    """Structure tensors in new frames (rows of t1, t2); the pairing of the
-    new frames must again be the canonical hyperbolic one."""
-    t = frame_change(LWXOps(e), t1, t2)
-    pairing = hyperbolic_pairing(e.chart.rank1, e.chart.rank2)
-    if pairing_gram(t1, e.pairing, t2) != pairing:
-        raise ValueError("frame change does not preserve the canonical pairing")
-    return LWXStructure(e.chart, t.l1, t.anchor, t.l11, t.l12, t.l21, t.l3, pairing)

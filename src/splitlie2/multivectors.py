@@ -45,15 +45,8 @@ from .structures import (
     signed_permutations,
 )
 
-MULTIVECTOR_KINDS = {X, XID, THD, UNK}
-
-
 class NonlinearError(ValueError):
     pass
-
-
-def is_multivector(p: Poly) -> bool:
-    return p.kinds_used() <= MULTIVECTOR_KINDS
 
 
 def section1(chart: Chart, coeffs) -> Poly:
@@ -496,7 +489,12 @@ def verify_hp_axioms(s: Lie2Structure, count=100, seed=0, max_shifted_degree=6) 
 
 def generator_agreement_report(s: Lie2Structure) -> CheckReport:
     """Brackets on frame sections equal the tensor-level operations, read
-    from the tensors: on unit frames no anchor term survives."""
+    from the tensors: on unit frames no anchor term survives.
+
+    decode_mu reads derived_table, not SAlgebra, so this report is the one
+    runtime check that b1, b2 and b3, with their signs and their memo,
+    reproduce the tensors; the other checks of the algebra test identities
+    among its brackets, which a wrong normalization would keep."""
     rep = CheckReport("bracket-generators")
     alg = SAlgebra(s)
     ch = s.chart

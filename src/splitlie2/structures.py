@@ -846,11 +846,6 @@ def axioms_vs_nilpotency(direct: CheckReport, nil: CheckReport) -> CheckReport:
     return report
 
 
-def cross_check_mu_equivalence(s: Lie2Structure) -> CheckReport:
-    """Direct axioms and generating-function nilpotency must agree."""
-    return axioms_vs_nilpotency(check_lie2_axioms(s), mu_nilpotency_report(encode_mu(s)))
-
-
 # -- morphisms ----------------------------------------------------------------
 
 

@@ -1,6 +1,9 @@
 """Derived-bracket decoders that bracket every entry from scratch, and the
 frame codec as it was before one encoder, reader and embedder served it.
 
+``derived_bracket`` is the plain iterated bracket, with no table and no
+memo; the tests compare ``derived_table`` and the memoised ``SAlgebra``
+brackets with it.
 ``decode_mu``, ``decode_gamma`` and ``crosscheck`` are the loop nests
 ``derived_table`` replaces: each entry is one ``derived_bracket`` call, so
 the inner bracket ``{g, e_i}`` is recomputed for every outer index.
@@ -27,7 +30,7 @@ This module is test-only; the package keeps one implementation.
 
 from fractions import Fraction
 
-from splitlie2.bracket import derived_bracket, poisson_bracket
+from splitlie2.bracket import poisson_bracket
 from splitlie2.gradedpoly import (
     P,
     TH,
@@ -50,6 +53,15 @@ from splitlie2.structures import GAMMA_TRIDEGREES, Lie2Structure
 from splitlie2.twisting import BialgebroidPair
 
 _DUAL_MOMENTA = (P, XI, TH)
+
+
+def derived_bracket(generator: Poly, args) -> Poly:
+    """Iterated bracket -{...{{generator, a1}, a2}..., am}, every prefix
+    bracketed afresh."""
+    r = generator
+    for a in args:
+        r = poisson_bracket(r, a)
+    return -r
 
 
 # -- the frame codec before encode_frames ------------------------------------------

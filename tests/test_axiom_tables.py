@@ -15,6 +15,7 @@ import random
 import pytest
 
 import leibniz_oracle as oracle
+from test_frame_algebra import lwx_transport
 from splitlie2.builtin import builtin_example
 from splitlie2.gradedpoly import Poly
 from splitlie2.linalg import invert
@@ -26,7 +27,6 @@ from splitlie2.lwx import (
     check_strict_dirac,
     extract_bialgebroid,
     hyperbolic_pairing,
-    lwx_transport,
 )
 from splitlie2.randomsuite import _random_invertible, structure_suite
 from splitlie2.report import CheckReport

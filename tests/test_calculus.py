@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from splitlie2.bracket import derived_bracket, poisson_bracket
+from decode_oracle import derived_bracket
+from splitlie2.bracket import poisson_bracket
 from splitlie2.builtin import builtin_example, example_names, lsa3, string_sl2
 from splitlie2.cochains import (
     bidegree,

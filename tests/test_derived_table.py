@@ -18,7 +18,8 @@ import pytest
 import decode_oracle as oracle
 from randpoly import random_homogeneous
 from splitlie2 import bracket
-from splitlie2.bracket import derived_bracket, derived_table
+from decode_oracle import derived_bracket
+from splitlie2.bracket import derived_table
 from splitlie2.builtin import builtin_example, example_names
 from splitlie2.gradedpoly import Chart, Poly, p_, th_dn, th_up, x_, xi_dn, xi_up
 from splitlie2.lwx import build_double, derived_mismatches

@@ -25,8 +25,10 @@ from splitlie2.lwx import (
     check_strict_dirac,
     check_weak_dirac,
     extract_bialgebroid,
+    LWXStructure,
     graph_morphism_data,
-    lwx_transport,
+    hyperbolic_pairing,
+    pairing_gram,
     polyvec_expander,
 )
 from splitlie2.randomsuite import _random_invertible, structure_suite
@@ -35,9 +37,20 @@ from splitlie2.structures import (
     Lie2Ops,
     MorphismData,
     check_morphism,
+    frame_change,
     transport,
 )
 from splitlie2.twisting import BialgebroidPair
+
+
+def lwx_transport(e: LWXStructure, t1, t2) -> LWXStructure:
+    """Structure tensors of a double in new frames (rows of t1, t2); the
+    pairing of the new frames must again be the canonical hyperbolic one."""
+    t = frame_change(LWXOps(e), t1, t2)
+    pairing = hyperbolic_pairing(e.chart.rank1, e.chart.rank2)
+    if pairing_gram(t1, e.pairing, t2) != pairing:
+        raise ValueError("frame change does not preserve the canonical pairing")
+    return LWXStructure(e.chart, t.l1, t.anchor, t.l11, t.l12, t.l21, t.l3, pairing)
 
 
 def _rational(rng):

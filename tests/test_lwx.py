@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from test_frame_algebra import lwx_transport
 from splitlie2.builtin import killing_form, lsa3, semidirect_poly, sl2_structure_constants, string_sl2
 from splitlie2.gradedpoly import Chart, Poly
 from splitlie2.multivectors import MCElement
@@ -19,7 +20,6 @@ from splitlie2.lwx import (
     extract_bialgebroid,
     graph_morphism_data,
     hyperbolic_pairing,
-    lwx_transport,
 )
 
 

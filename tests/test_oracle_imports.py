@@ -21,7 +21,7 @@ ALLOWED = {
                                  "THD", "X", "XI", "XID", "mono_degree", "mono_from_sequence"},
     },
     "decode_oracle.py": {
-        "splitlie2.bracket": {"derived_bracket", "poisson_bracket"},
+        "splitlie2.bracket": {"poisson_bracket"},
         "splitlie2.gradedpoly": {"Chart", "P", "Poly", "TH", "THD", "XI", "XID", "mono_tridegree",
                                  "p_", "th_dn", "th_up", "x_", "xi_dn", "xi_up"},
         "splitlie2.multivectors": {"MCElement", "SAlgebra", "section1", "section2"},
