@@ -44,8 +44,8 @@ from .structures import (
 
 def twist_gamma(alg: SAlgebra, m: MCElement) -> Poly:
     """Dual generating function produced by a degree-3 element, bracketed
-    through the algebra's memo (mc_residual has put {mu121, H} and
-    {{mu031, H}, H} there)."""
+    through the algebra's memo; induced_dual_structure runs mc_residual
+    first, which puts {mu121, H} and {{mu031, H}, H} there."""
     hp, kp = m.h_poly(), m.k_poly()
     return (
         alg.mu211
@@ -198,14 +198,13 @@ class BialgebroidPair(BracketMemo):
         self.chart = alg.chart
         if dual.chart != self.chart.swapped():
             raise ValueError("dual structure must live on the swapped chart")
-        self.mu = alg.mu
         self.mu211 = alg.mu211
         self.gamma = encode_gamma(dual, self.chart)
         if self.gamma.project_tridegree((2, 1, 1)) != self.mu211:
             raise ValueError("pair does not share its (2,1,1) component")
         self.g112 = self.gamma.project_tridegree((1, 1, 2))
         self.g013 = self.gamma.project_tridegree((0, 1, 3))
-        self.theta = self.mu + self.gamma - self.mu211
+        self.theta = alg.mu + self.gamma - self.mu211
 
     @staticmethod
     def from_twist(s: Lie2Structure, m: MCElement) -> "BialgebroidPair":

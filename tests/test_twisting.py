@@ -363,28 +363,28 @@ def _bumped(dual, rng):
     return out
 
 
-def _pair_suite():
-    """(name, structure, duals, elements): every builtin with its trivial
-    dual, its twisted dual where it has a flat element, and a bumped copy of
-    each; abelian(2,4,1) also with a seeded dual, where {g013, H} and
-    {g112, K} need not vanish.  The elements are the builtin's flat ones,
-    the zero element and four seeded ones."""
-    rng = random.Random(31)
-    out = []
-    for name in example_names() + ["abelian(2,4,1)"]:
-        ex = builtin_example(name)
-        s = ex["structure"]
-        flat = ex.get("mc_family") or ([ex["mc"]] if ex.get("mc") else [])
-        duals = [decode_gamma(SAlgebra(s).mu211, s.chart)]
-        if flat:
-            duals.append(induced_dual_structure(SAlgebra(s), flat[0])[0])
-        if s.chart.rank2 > 3:
-            duals.append(_seeded_dual_pair(s, rng).dual)
-        duals += [_bumped(d, rng) for d in duals]
-        elements = flat + [MCElement.build(s.chart)]
-        elements += [_seeded_element(rng, s.chart) for _ in range(4)]
-        out.append((name, s, duals, elements))
-    return out
+PAIR_NAMES = example_names() + ["abelian(2,4,1)"]
+
+
+def _pair_case(name):
+    """(structure, duals, elements) of a builtin: its trivial dual, its
+    twisted dual where it has a flat element, and a bumped copy of each;
+    with four th_ frames (abelian(2,4,1)) also a seeded dual, where
+    {g013, H} and {g112, K} need not vanish.  The elements are the
+    builtin's flat ones, the zero element and four seeded ones."""
+    rng = random.Random(name)
+    ex = builtin_example(name)
+    s = ex["structure"]
+    flat = ex.get("mc_family") or ([ex["mc"]] if ex.get("mc") else [])
+    duals = [decode_gamma(SAlgebra(s).mu211, s.chart)]
+    if flat:
+        duals.append(induced_dual_structure(SAlgebra(s), flat[0])[0])
+    if s.chart.rank2 > 3:
+        duals.append(_seeded_dual_pair(s, rng).dual)
+    duals += [_bumped(d, rng) for d in duals]
+    elements = flat + [MCElement.build(s.chart)]
+    elements += [_seeded_element(rng, s.chart) for _ in range(4)]
+    return s, duals, elements
 
 
 def _pair_run(module, pair, elements):
@@ -401,11 +401,11 @@ def _pair_run(module, pair, elements):
     return out
 
 
-@pytest.mark.parametrize("name", example_names() + ["abelian(2,4,1)"])
+@pytest.mark.parametrize("name", PAIR_NAMES)
 def test_pair_checks_match_the_raw_bracket_oracle(name):
     """The pair checks through the memos give the reports and residuals of
     the raw-bracket copies, true and false verdicts alike."""
-    [(_, s, duals, elements)] = [t for t in _pair_suite() if t[0] == name]
+    s, duals, elements = _pair_case(name)
     verdicts = set()
     for dual in duals:
         new = _pair_run(twisting, BialgebroidPair(SAlgebra(s), dual), elements)
@@ -420,7 +420,7 @@ def test_pairs_built_in_turn_on_one_algebra_match_fresh_algebras():
     """A pair's memo keys its own generating functions, so a second pair on
     the same algebra, built after the first is collected, finds no entry of
     the first: each run equals one on a fresh algebra."""
-    for _, s, duals, elements in _pair_suite():
+    for s, duals, elements in map(_pair_case, PAIR_NAMES):
         alg = SAlgebra(s)
         for dual in duals:
             pair = BialgebroidPair(alg, dual)
@@ -435,7 +435,7 @@ def test_each_memo_keys_only_what_its_owner_holds():
     a value of that memo: the algebra keys mu and its components, the pair
     gamma, g112 and g013."""
     keys = 0
-    for _, s, duals, elements in _pair_suite():
+    for s, duals, elements in map(_pair_case, PAIR_NAMES):
         alg = SAlgebra(s)
         for dual in duals:
             pair = BialgebroidPair(alg, dual)
