@@ -139,9 +139,12 @@ class LWXStructure:
 
 
 class LWXOps(Lie2Ops):
-    """Section calculus of a metric double: the Lie2Ops brackets on its
-    tensors, plus the pairing, D and the pairing-dual D terms of the mixed
-    brackets.  Its coefficients are those of the tensors, as in Lie2Ops."""
+    """Section calculus of a metric double: the Lie2Ops kernels on its
+    tensors, plus the pairing and D.  It overrides only the two mixed
+    kernels, add_l2_12 and add_l2_21, which also add the pairing-dual D
+    terms; without an anchor (over a point base) D is zero and they are
+    skipped.  D has a kernel of its own, add_dmap.  Its coefficients are
+    those of the tensors, as in Lie2Ops."""
 
     def __init__(self, e: LWXStructure):
         self.e = e
@@ -168,48 +171,51 @@ class LWXOps(Lie2Ops):
                     out = out + u * wv[m] * s
         return out
 
-    def dmap(self, f: Poly):
-        """D f, the pairing-dual of the anchor derivative of f."""
+    def add_dmap(self, out, w, f):
+        """out += w * D f, where D f is the pairing-dual of the anchor
+        derivative of f."""
+        if not self._anchor_vars or not f or not w:
+            return
+        grad = self._gradient(f)
         rhs = {}
-        if self._anchor_vars and f:
-            grad = self._gradient(f)
-            for a, row in enumerate(self._anchor):
-                acc = self._zero
-                for i, r in row:
-                    acc = acc + r * grad[i]
-                if acc:
-                    rhs[a] = acc
+        for a, row in enumerate(self._anchor):
+            acc = self._zero
+            for i, r in row:
+                acc = acc + r * grad[i]
+            if acc:
+                rhs[a] = acc
+        for m, row in enumerate(self._sinv_rows):
+            acc = self._zero
+            for a, c in row:
+                if a in rhs:
+                    acc = acc + rhs[a] * c
+            if acc:
+                out[m] = out[m] + (acc if w is self._one else w * acc)
+
+    def dmap(self, f: Poly):
         out = [self._zero] * self.r2
-        if rhs:
-            for m, row in enumerate(self._sinv_rows):
-                for a, c in row:
-                    if a in rhs:
-                        out[m] = out[m] + rhs[a] * c
+        self.add_dmap(out, self._one, f)
         return out
 
-    def _pairing_dual_terms(self, out, sign, pairs, coords, other):
-        """Add sign * <e_a, other> D(coords_a) over the nonzero coords_a,
-        with the pairing read along `pairs` (rows or columns)."""
-        for a, u in nonzero_coords(coords):
-            weight = self._zero
-            for m, s in pairs[a]:
-                if other[m]:
-                    weight = weight + other[m] * s
-            if weight:
-                if sign < 0:
-                    weight = -weight
-                for k, c in enumerate(self.dmap(u)):
-                    if c:
-                        out[k] = out[k] + weight * c
-        return out
+    def add_l2_12(self, out, sign, us, ws):
+        """Lie2Ops.add_l2_12 plus sign * S(e_a, w) D(u_a) over the nonzero
+        u_a; without an anchor D is zero."""
+        super().add_l2_12(out, sign, us, ws)
+        if self._anchor_vars:
+            wd = dict(ws)
+            for a, u in us:
+                c = sum((wd[m] * s for m, s in self._pair_rows[a] if m in wd), self._zero)
+                self.add_dmap(out, c if sign > 0 else -c, u)
 
-    def l2_12(self, uv, wv):
-        out = self._mixed(self._b12, uv, wv)
-        return self._pairing_dual_terms(out, 1, self._pair_rows, uv, wv)
-
-    def l2_21(self, wv, uv):
-        out = self._mixed(self._b21, uv, wv)
-        return self._pairing_dual_terms(out, -1, self._pair_cols, wv, uv)
+    def add_l2_21(self, out, sign, ws, us):
+        """Lie2Ops.add_l2_21 minus sign * S(u, e_a) D(w_a) over the nonzero
+        w_a."""
+        super().add_l2_21(out, sign, ws, us)
+        if self._anchor_vars:
+            ud = dict(us)
+            for a, w in ws:
+                c = sum((ud[m] * s for m, s in self._pair_cols[a] if m in ud), self._zero)
+                self.add_dmap(out, -c if sign > 0 else c, w)
 
 
 # -- embeddings for the derived-bracket route ------------------------------------

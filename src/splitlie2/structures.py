@@ -267,10 +267,17 @@ class Lie2Ops:
 
     The structure tensors become sparse tables at construction: for each
     leading index tuple, the (output index, nonzero entry) pairs of its last
-    axis.  A bracket loops only over the nonzero coordinates of its
-    arguments and the nonzero table entries.  Section coefficients are base
-    (even) polynomials, so products commute and the loop order cannot change
-    a result.
+    axis.  Each bracket has one accumulating kernel (add_anchor, add_l1,
+    add_l2_11, add_l2_12, add_l2_21, add_l3).  It adds sign * bracket, sign
+    +1 or -1, into a coefficient list that the caller owns; add_anchor adds
+    into one entry of it.  A kernel takes its sections in sparse form, the
+    (index, coefficient) pairs of nonzero_coords, and loops only over those
+    and the nonzero table entries.  A unit frame vector is [(i, ops._one)]:
+    a product with that very object is skipped.  The public brackets
+    (anchor, l1, l2_11, l2_12, l2_21, l3) wrap the kernels: each takes
+    dense sections and returns a fresh list, or a base polynomial for
+    anchor.  Section coefficients are base (even) polynomials, so products
+    commute and the loop order cannot change a result.
 
     The coefficients are whatever the tensors hold: base polynomials, or,
     over a point base, the plain numbers of point_value.  The calculus uses
@@ -320,83 +327,110 @@ class Lie2Ops:
         """x_i-derivatives of f for the coordinates some anchor row uses."""
         return {i: d_dx(f, i + 1) for i in self._anchor_vars}
 
-    def _bilinear(self, table, u, v, size):
-        """sum of u_a v_b table[a][b] over the nonzero coordinates."""
-        out = [self._zero] * size
-        vs = nonzero_coords(v)
-        for a, ua in nonzero_coords(u):
+    # -- kernels: out += sign * bracket, sections as (index, coefficient) pairs
+
+    def _add_leibniz(self, out, sign, table, us, vs):
+        """out += sign * (sum of u_a v_b table[a][b] + sum of a(u) v_k): a
+        two-slot bracket's table term and its anchor term on the second slot."""
+        one = self._one
+        for a, ua in us:
             row = table[a]
             if not any(row):
                 continue
             for b, vb in vs:
                 entries = row[b]
                 if entries:
-                    c = ua * vb
+                    c = vb if ua is one else ua if vb is one else ua * vb
                     if c:
                         for k, t in entries:
-                            out[k] = out[k] + c * t
-        return out
-
-    def _mixed(self, table, xv, mv):
-        """A mixed bracket: its table term plus the anchor term a(x) m_k."""
-        out = self._bilinear(table, xv, mv, self.r2)
+                            if c is not one:
+                                t = c * t
+                            out[k] = out[k] + t if sign > 0 else out[k] - t
         if self._anchor_vars:
-            for k, c in nonzero_coords(mv):
-                out[k] = out[k] + self.anchor(xv, c)
-        return out
+            for k, c in vs:
+                self.add_anchor(out, k, sign, us, c)
 
-    def anchor(self, xv, f: Poly) -> Poly:
-        out = self._zero
-        if not self._anchor_vars or not f:
-            return out
+    def add_anchor(self, out, k, sign, xs, f):
+        """out[k] += sign * a(x) f."""
+        if not self._anchor_vars or not f or not xs:
+            return
+        one, acc = self._one, out[k]
         grad = self._gradient(f)
-        for j, c in nonzero_coords(xv):
+        for j, c in xs:
             for i, mu in self._anchor[j]:
                 df = grad[i]
                 if df:
-                    out = out + c * mu * df
-        return out
+                    t = mu * df if c is one else c * mu * df
+                    acc = acc + t if sign > 0 else acc - t
+        out[k] = acc
 
-    def l1(self, mv):
-        out = [self._zero] * self.r1
-        for j, c in nonzero_coords(mv):
+    def add_l1(self, out, sign, ms):
+        one = self._one
+        for j, c in ms:
             for i, mu in self._unary[j]:
-                out[i] = out[i] + c * mu
-        return out
+                t = mu if c is one else c * mu
+                out[i] = out[i] + t if sign > 0 else out[i] - t
 
-    def l2_11(self, xv, yv):
-        out = self._bilinear(self._b11, xv, yv, self.r1)
+    def add_l2_11(self, out, sign, xs, ys):
+        self._add_leibniz(out, sign, self._b11, xs, ys)
         if self._anchor_vars:
-            for k, c in nonzero_coords(yv):
-                out[k] = out[k] + self.anchor(xv, c)
-            for k, c in nonzero_coords(xv):
-                out[k] = out[k] - self.anchor(yv, c)
-        return out
+            for k, c in xs:
+                self.add_anchor(out, k, -sign, ys, c)
 
-    def l2_12(self, xv, mv):
-        return self._mixed(self._b12, xv, mv)
+    def add_l2_12(self, out, sign, xs, ms):
+        self._add_leibniz(out, sign, self._b12, xs, ms)
 
-    def l2_21(self, mv, xv):
-        return self._mixed(self._b21, xv, mv)
+    def add_l2_21(self, out, sign, ms, xs):
+        self._add_leibniz(out, sign, self._b21, xs, ms)
 
-    def l3(self, xv, yv, zv):
-        out = [self._zero] * self.r2
-        ys, zs = nonzero_coords(yv), nonzero_coords(zv)
-        for i, a in nonzero_coords(xv):
+    def add_l3(self, out, sign, xs, ys, zs):
+        one = self._one
+        for i, a in xs:
             plane = self._ternary[i]
             for j, b in ys:
                 row = plane[j]
                 if not any(row):
                     continue
-                ab = a * b
+                ab = b if a is one else a if b is one else a * b
                 if not ab:
                     continue
                 for k, c in zs:
                     entries = row[k]
                     if entries:
-                        abc = ab * c
+                        abc = c if ab is one else ab if c is one else ab * c
                         for l, mu in entries:
-                            out[l] = out[l] + abc * mu
+                            if abc is not one:
+                                mu = abc * mu
+                            out[l] = out[l] + mu if sign > 0 else out[l] - mu
+
+    def anchor(self, xv, f: Poly) -> Poly:
+        out = [self._zero]
+        self.add_anchor(out, 0, 1, nonzero_coords(xv), f)
+        return out[0]
+
+    def l1(self, mv):
+        out = [self._zero] * self.r1
+        self.add_l1(out, 1, nonzero_coords(mv))
+        return out
+
+    def l2_11(self, xv, yv):
+        out = [self._zero] * self.r1
+        self.add_l2_11(out, 1, nonzero_coords(xv), nonzero_coords(yv))
+        return out
+
+    def l2_12(self, xv, mv):
+        out = [self._zero] * self.r2
+        self.add_l2_12(out, 1, nonzero_coords(xv), nonzero_coords(mv))
+        return out
+
+    def l2_21(self, mv, xv):
+        out = [self._zero] * self.r2
+        self.add_l2_21(out, 1, nonzero_coords(mv), nonzero_coords(xv))
+        return out
+
+    def l3(self, xv, yv, zv):
+        out = [self._zero] * self.r2
+        self.add_l3(out, 1, nonzero_coords(xv), nonzero_coords(yv), nonzero_coords(zv))
         return out
 
 
@@ -646,65 +680,48 @@ def times_int(p: Poly, d: int) -> Poly:
 # -- direct axiom checking ----------------------------------------------------
 
 
-def _signed_sum(zero, *terms):
-    """Sum of the signed sections (sign, v); a v of None is zero."""
-    total = zero
-    for sign, v in terms:
-        if v is not None:
-            total = vec_add(total, v) if sign > 0 else vec_sub(total, v)
-    return total
-
-
 def check_leibniz2_tables(ops, t: FrameTables, report: CheckReport, tag: str):
     """check_leibniz2_axioms with its inner brackets read from the tables `t`
     on unit frames.
 
     Every outer bracket is a fresh `ops` evaluation, so this route stays
-    independent of {mu,mu} = 0.  An outer bracket with a zero table argument
-    is not evaluated: the brackets are multilinear, so its value is zero.
-    Each residual is lhs - rhs of its law, as one signed sum.
+    independent of {mu,mu} = 0.  The frames and the tables are turned into
+    sparse sections (_sparse) once; each residual, lhs - rhs of its
+    law, is one fresh list into which the kernels add their signed terms.
+    A kernel with a zero argument adds nothing: its loops are empty.
     """
-    r1, r2 = ops.r1, ops.r2
-    E, F = t.b1, t.b2
-    zero1, zero2 = [ops._zero] * r1, [ops._zero] * r2
-    # the tables with each zero section as None; a frame vector is never zero
-    sparse = lambda table, depth: map_sections(lambda v: v if vec_nonzero(v) else None,
-                                               table, depth)
-    L1, L11, L12, L21 = sparse(t.l1, 1), sparse(t.l11, 2), sparse(t.l12, 2), sparse(t.l21, 2)
-    L3 = sparse(t.l3, 3)
-
-    def l1(v):
-        return None if v is None else ops.l1(v)
-
-    def l2_11(x, y):
-        return None if x is None or y is None else ops.l2_11(x, y)
-
-    def l2_12(x, m):
-        return None if x is None or m is None else ops.l2_12(x, m)
-
-    def l2_21(m, x):
-        return None if m is None or x is None else ops.l2_21(m, x)
-
-    def l3(x, y, z):
-        return None if x is None or y is None or z is None else ops.l3(x, y, z)
+    r1, r2, zero = ops.r1, ops.r2, ops._zero
+    E, F, L1 = _sparse(t.b1, 1), _sparse(t.b2, 1), _sparse(t.l1, 1)
+    L11, L12, L21, L3 = _sparse(t.l11, 2), _sparse(t.l12, 2), _sparse(t.l21, 2), _sparse(t.l3, 3)
+    l1, l2_11, l3 = ops.add_l1, ops.add_l2_11, ops.add_l3
+    l2_12, l2_21 = ops.add_l2_12, ops.add_l2_21
 
     for i in range(r1):
         for j in range(r2):
             x = E[i]
-            res = _signed_sum(zero1, (1, l1(L12[i][j])), (-1, l2_11(x, L1[j])))
+            res = [zero] * r1
+            l1(res, 1, L12[i][j])
+            l2_11(res, -1, x, L1[j])
             report.add(f"{tag}.a[{i + 1},{j + 1}]", "d l2(x,m) = l2(x, d m)", res)
-            res = _signed_sum(zero1, (1, l1(L21[j][i])), (1, l2_11(L1[j], x)))
+            res = [zero] * r1
+            l1(res, 1, L21[j][i])
+            l2_11(res, 1, L1[j], x)
             report.add(f"{tag}.b[{i + 1},{j + 1}]", "d l2(m,x) = -l2(d m, x)", res)
     for i in range(r2):
         for j in range(r2):
-            res = _signed_sum(zero2, (1, l2_12(L1[i], F[j])), (1, l2_21(F[i], L1[j])))
+            res = [zero] * r2
+            l2_12(res, 1, L1[i], F[j])
+            l2_21(res, 1, F[i], L1[j])
             report.add(f"{tag}.c[{i + 1},{j + 1}]", "l2(d m, n) = -l2(m, d n)", res)
     for i in range(r1):
         for j in range(r1):
             for k in range(r1):
                 x, y, z = E[i], E[j], E[k]
-                res = _signed_sum(zero1, (1, l1(L3[i][j][k])), (-1, l2_11(x, L11[j][k])),
-                                  (1, l2_11(L11[i][j], z)), (1, l2_11(y, L11[i][k])))
+                res = [zero] * r1
+                l1(res, 1, L3[i][j][k])
+                l2_11(res, -1, x, L11[j][k])
+                l2_11(res, 1, L11[i][j], z)
+                l2_11(res, 1, y, L11[i][k])
                 report.add(
                     f"{tag}.d[{i + 1},{j + 1},{k + 1}]",
                     "d l3(x,y,z) = l2(x,l2(y,z)) - l2(l2(x,y),z) - l2(y,l2(x,z))",
@@ -714,25 +731,31 @@ def check_leibniz2_tables(ops, t: FrameTables, report: CheckReport, tag: str):
         for j in range(r1):
             for k in range(r2):
                 x, y, m = E[i], E[j], F[k]
-                res = _signed_sum(zero2, (1, l3(x, y, L1[k])), (-1, l2_12(x, L12[j][k])),
-                                  (1, l2_12(L11[i][j], m)), (1, l2_12(y, L12[i][k])))
+                res = [zero] * r2
+                l3(res, 1, x, y, L1[k])
+                l2_12(res, -1, x, L12[j][k])
+                l2_12(res, 1, L11[i][j], m)
+                l2_12(res, 1, y, L12[i][k])
                 report.add(
                     f"{tag}.e1[{i + 1},{j + 1},{k + 1}]",
                     "l3(x,y,d m) = l2(x,l2(y,m)) - l2(l2(x,y),m) - l2(y,l2(x,m))",
                     res,
                 )
-                # l2(m, l2(x,y)) and l2(x, l2(m,y)) appear in e2 and in e3
-                m_xy = l2_21(m, L11[i][j])
-                x_my = l2_12(x, L21[k][j])
-                res = _signed_sum(zero2, (-1, l3(x, L1[k], y)), (-1, x_my),
-                                  (1, l2_21(L12[i][k], y)), (1, m_xy))
+                # l2(m, l2(x,y)) - l2(x, l2(m,y)) enters e2 with sign + and e3 with -
+                shared = [zero] * r2
+                l2_21(shared, 1, m, L11[i][j])
+                l2_12(shared, -1, x, L21[k][j])
+                res = list(shared)
+                l3(res, -1, x, L1[k], y)
+                l2_21(res, 1, L12[i][k], y)
                 report.add(
                     f"{tag}.e2[{i + 1},{j + 1},{k + 1}]",
                     "-l3(x,d m,y) = l2(x,l2(m,y)) - l2(l2(x,m),y) - l2(m,l2(x,y))",
                     res,
                 )
-                res = _signed_sum(zero2, (-1, l3(L1[k], x, y)), (-1, m_xy),
-                                  (-1, l2_21(L21[k][i], y)), (1, x_my))
+                res = [-c for c in shared]
+                l3(res, -1, L1[k], x, y)
+                l2_21(res, -1, L21[k][i], y)
                 report.add(
                     f"{tag}.e3[{i + 1},{j + 1},{k + 1}]",
                     "-l3(d m,x,y) = l2(m,l2(x,y)) + l2(l2(m,x),y) - l2(x,l2(m,y))",
@@ -743,19 +766,17 @@ def check_leibniz2_tables(ops, t: FrameTables, report: CheckReport, tag: str):
             for k in range(r1):
                 for w in range(r1):
                     xv, yv, zv, wv = E[i], E[j], E[k], E[w]
-                    res = _signed_sum(
-                        zero2,
-                        (1, l2_12(xv, L3[j][k][w])),
-                        (-1, l2_12(yv, L3[i][k][w])),
-                        (1, l2_12(zv, L3[i][j][w])),
-                        (-1, l2_21(L3[i][j][k], wv)),
-                        (-1, l3(L11[i][j], zv, wv)),
-                        (-1, l3(yv, L11[i][k], wv)),
-                        (-1, l3(yv, zv, L11[i][w])),
-                        (1, l3(xv, L11[j][k], wv)),
-                        (1, l3(xv, zv, L11[j][w])),
-                        (-1, l3(xv, yv, L11[k][w])),
-                    )
+                    res = [zero] * r2
+                    l2_12(res, 1, xv, L3[j][k][w])
+                    l2_12(res, -1, yv, L3[i][k][w])
+                    l2_12(res, 1, zv, L3[i][j][w])
+                    l2_21(res, -1, L3[i][j][k], wv)
+                    l3(res, -1, L11[i][j], zv, wv)
+                    l3(res, -1, yv, L11[i][k], wv)
+                    l3(res, -1, yv, zv, L11[i][w])
+                    l3(res, 1, xv, L11[j][k], wv)
+                    l3(res, 1, xv, zv, L11[j][w])
+                    l3(res, -1, xv, yv, L11[k][w])
                     report.add(
                         f"{tag}.f[{i + 1},{j + 1},{k + 1},{w + 1}]",
                         "jacobiator of l2 against l3 vanishes",

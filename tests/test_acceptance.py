@@ -8,8 +8,6 @@ tests/test_acceptance.py` to see the verdict lines.
 import random
 from fractions import Fraction
 
-import pytest
-
 from splitlie2.builtin import builtin_example, lsa3, string_sl2
 from splitlie2.cochains import verify_calculus_identities
 from splitlie2.gradedpoly import Poly
@@ -271,7 +269,7 @@ def test_criterion_09_twist_compatibility_and_combined_nilpotency():
 
 def test_criterion_10_engine_soundness_and_roundtrips():
     from splitlie2.bracket import poisson_bracket
-    from splitlie2.gradedpoly import Chart, INHOMOGENEOUS
+    from splitlie2.gradedpoly import Chart
     from randpoly import random_homogeneous
 
     ok = True

@@ -17,7 +17,7 @@ import pytest
 import leibniz_oracle as oracle
 from test_frame_algebra import lwx_transport
 from splitlie2.builtin import builtin_example
-from splitlie2.gradedpoly import Poly
+from splitlie2.gradedpoly import Poly, x_
 from splitlie2.linalg import invert
 from splitlie2.lwx import (
     LWXOps,
@@ -213,6 +213,20 @@ def test_lwx_suites_match_oracle_on_perturbed_doubles(name):
     new = _report_records(check_lwx_axioms(e))
     assert new == _report_records(oracle.check_lwx_axioms(e))
     assert not all(passed for _, passed, _ in new)
+    for sub in (Subbundle.canonical_half(e.chart), Subbundle.canonical_dual_half(e.chart)):
+        _assert_same_dirac(e, sub)
+
+
+def test_lwx_suites_match_oracle_with_a_polynomial_c21_bump():
+    # semidirect_poly has base_dim 1, so the anchor and D terms of the mixed
+    # kernels run on failing residuals too
+    e = _double("semidirect_poly", False, cross_check=False)
+    x1 = x_(e.chart, 1)
+    e.c21[1][0] = [c + x1 if k == 0 else c for k, c in enumerate(e.c21[1][0])]
+    records = _assert_same(LWXOps(e), "lwx.i")
+    assert not all(passed for _, passed, _ in records)
+    new = _report_records(check_lwx_axioms(e))
+    assert new == _report_records(oracle.check_lwx_axioms(e))
     for sub in (Subbundle.canonical_half(e.chart), Subbundle.canonical_dual_half(e.chart)):
         _assert_same_dirac(e, sub)
 

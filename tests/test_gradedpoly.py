@@ -6,7 +6,6 @@ import pytest
 from splitlie2.gradedpoly import (
     INHOMOGENEOUS,
     KIND_DEGREE,
-    KIND_ODD,
     THD,
     X,
     XI,

@@ -3,14 +3,13 @@ from fractions import Fraction
 import pytest
 
 from test_frame_algebra import lwx_transport
-from splitlie2.builtin import killing_form, lsa3, semidirect_poly, sl2_structure_constants, string_sl2
-from splitlie2.gradedpoly import Chart, Poly
+from splitlie2.builtin import lsa3, semidirect_poly, string_sl2
+from splitlie2.gradedpoly import Poly
 from splitlie2.multivectors import MCElement
 from splitlie2.structures import MorphismData
 from splitlie2.twisting import BialgebroidPair
 from splitlie2.lwx import (
     LWXOps,
-    LWXStructure,
     Subbundle,
     build_double,
     build_graph,

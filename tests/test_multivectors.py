@@ -16,7 +16,6 @@ from splitlie2.multivectors import (
     mc_residual,
     random_multivector,
     section1,
-    section2,
     solve_linear_mc,
     verify_hp_axioms,
 )

@@ -7,7 +7,9 @@ identifier (``bench/layers.py`` names the functions it wraps as strings).
 Module-level functions and classes of the package, and their non-dunder
 methods, must each be used.  The test-only oracles hold copies of the code
 they compare against rather than imports of it, so they cannot keep a
-deleted package helper alive.
+deleted package helper alive.  Since an import alias counts as a use, a
+second test requires every name a test module imports to be read, as a
+``Name``, somewhere in that module.
 """
 
 import ast
@@ -73,3 +75,25 @@ def unused_definitions(package=PACKAGE, walked=WALKED):
 
 def test_every_package_definition_is_named_somewhere():
     assert unused_definitions() == []
+
+
+def unused_imports(root=ROOT / "tests"):
+    """module:name for each name a module under root imports and never
+    reads as a Name (a string that spells it does not count)."""
+    unused = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".", 1)[0]
+                    if name not in read:
+                        unused.append(f"{path.stem}:{name}")
+    return unused
+
+
+def test_every_test_import_is_read():
+    assert unused_imports() == []

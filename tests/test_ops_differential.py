@@ -3,8 +3,12 @@
 Every bracket of ``Lie2Ops`` and ``LWXOps`` must equal, exactly, the
 bracket of the dense reference in ``dense_ops`` on random polynomial
 sections: all-zero sections, single-nonzero sections and sections with
-several nonzero coordinates.  Structures: every ``structure_suite`` entry
-(valid and perturbed) and the doubles of three builtin pairs.
+several nonzero coordinates.  The arguments also hold the ops' own unit
+coefficient object ``ops._one``, whose products the kernels skip: the unit
+frame rows alone, summed, and mixed with random coefficients.  Structures:
+every ``structure_suite`` entry (valid and perturbed, over base_dim 0 and
+1), the doubles of four builtin pairs and a perturbed semidirect_poly
+double.
 """
 
 import random
@@ -14,7 +18,7 @@ import pytest
 from dense_ops import DenseLie2Ops, DenseLWXOps
 from splitlie2.builtin import builtin_example
 from splitlie2.gradedpoly import Poly, x_
-from splitlie2.lwx import LWXOps, build_double
+from splitlie2.lwx import LWXOps, build_double, check_lwx_axioms
 from splitlie2.multivectors import random_base_poly
 from splitlie2.randomsuite import structure_suite
 from splitlie2.structures import Lie2Ops
@@ -44,6 +48,17 @@ def _sections(chart, rank, rng):
     return out
 
 
+def _unit_sections(units, chart, rng):
+    """Sections that hold the unit coefficient object itself: each unit row,
+    the sum of all rows (adding a zero hands the unit back), and each row
+    with random coefficients in its other coordinates."""
+    out = list(units) + [[sum(col, Poly.zero(chart)) for col in zip(*units)]]
+    for i, row in enumerate(units):
+        out.append([c if q == i or rng.random() < 0.4 else _coefficient(chart, rng)
+                    for q, c in enumerate(row)])
+    return out
+
+
 def _functions(chart, rng):
     fs = [Poly.zero(chart), Poly.const(chart, 3), _coefficient(chart, rng)]
     fs += [x_(chart, i + 1) for i in range(chart.base_dim)]
@@ -55,6 +70,11 @@ def _assert_same(new, ref, seed, lwx=False):
     rng = random.Random(seed)
     ones = _sections(ch, new.r1, rng)
     twos = _sections(ch, new.r2, rng)
+    unit_ones = _unit_sections(new.units.b1, ch, rng)
+    unit_twos = _unit_sections(new.units.b2, ch, rng)
+    assert all(any(c is new._one for c in v) for v in unit_ones + unit_twos)
+    ones += unit_ones
+    twos += unit_twos
     pick = rng.choice
     for f in _functions(ch, rng):
         for x in ones:
@@ -77,6 +97,10 @@ def _assert_same(new, ref, seed, lwx=False):
     for i, x in enumerate(ones[: new.r1 + 1]):
         assert new.l3(x, ones[-1], ones[-2]) == ref.l3(x, ones[-1], ones[-2])
         assert new.l3(ones[-1], x, ones[-1]) == ref.l3(ones[-1], x, ones[-1])
+    for x in unit_ones:
+        y, z = pick(unit_ones), pick(ones)
+        assert new.l3(x, y, z) == ref.l3(x, y, z)
+        assert new.l3(z, x, y) == ref.l3(z, x, y)
 
 
 @pytest.mark.parametrize("index", range(50))
@@ -108,3 +132,12 @@ def test_lwx_ops_match_dense_with_a_polynomial_anchor():
     new, ref = LWXOps(e), DenseLWXOps(e)
     assert any(not r.is_zero for row in e.rho for r in row)
     _assert_same(new, ref, seed=7, lwx=True)
+
+
+def test_lwx_ops_match_dense_on_a_bumped_polynomial_double():
+    # x1 added to one c21 entry of the semidirect_poly double breaks its axioms
+    e = _double("semidirect_poly", False)
+    x1 = x_(e.chart, 1)
+    e.c21[1][0] = [c + x1 if k == 0 else c for k, c in enumerate(e.c21[1][0])]
+    assert not check_lwx_axioms(e).passed
+    _assert_same(LWXOps(e), DenseLWXOps(e), seed=8, lwx=True)

@@ -15,7 +15,6 @@ restriction then has a fractional mu5 (it still passes its axioms).
 import contextlib
 import hashlib
 import io
-import json
 from fractions import Fraction
 
 import pytest

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from splitlie2.builtin import builtin_example, crossed_sl2, lsa3, semidirect_poly, string_sl2
+from splitlie2.builtin import builtin_example, crossed_sl2, lsa3
 from splitlie2.gradedpoly import Chart, Poly
 from splitlie2.randomsuite import random_valid_structure, structure_suite
 from splitlie2.structures import (

@@ -9,20 +9,13 @@ import decode_oracle
 import twist_oracle
 from splitlie2 import bracket, multivectors, twisting
 from splitlie2.bracket import poisson_bracket
-from splitlie2.builtin import (
-    builtin_example,
-    example_names,
-    lsa3,
-    sl2_structure_constants,
-    string_sl2,
-)
+from splitlie2.builtin import builtin_example, example_names, lsa3, string_sl2
 from splitlie2.gradedpoly import Chart, Poly, x_
 from splitlie2.multivectors import MCElement, SAlgebra, mc_residual
 from splitlie2.randomsuite import random_valid_structure
 from splitlie2.structures import (
     GAMMA_TRIDEGREES,
     Lie2Ops,
-    Lie2Structure,
     MorphismData,
     check_lie2_axioms,
     check_morphism,
