@@ -1,17 +1,23 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from splitlie2.builtin import builtin_example, example_names, lsa3
+from splitlie2.gradedpoly import Poly
+from splitlie2.lwx import build_double
 from splitlie2.multivectors import SAlgebra
+from splitlie2.randomsuite import structure_suite
 from splitlie2.sfile import (
     StructureFileError,
     dual_block,
+    lwx_block,
     mc_blocks,
     parse_structure_file,
     render_structure,
 )
-from splitlie2.twisting import induced_dual_structure
+from splitlie2.structures import signed_permutations
+from splitlie2.twisting import BialgebroidPair, induced_dual_structure
 
 
 @pytest.mark.parametrize("name", ["lsa3", "string_sl2", "crossed_sl2", "semidirect_poly",
@@ -41,6 +47,77 @@ def test_gamma_block_roundtrip():
     text = render_structure(ex["structure"], extra={"gamma": dual_block(dual)})
     sf = parse_structure_file(text)
     assert sf.dual is not None and sf.dual.equals(dual)
+
+
+# (seed, position) of structure_suite(24, seed) entries: even positions are
+# built valid, odd ones perturbed
+SUITE_ENTRIES = [(seed, i) for seed in (0, 5) for i in range(24)]
+
+
+@pytest.fixture(scope="module")
+def suites():
+    return {seed: structure_suite(24, seed) for seed in (0, 5)}
+
+
+def test_suite_roundtrip_covers_both_bases_and_both_kinds(suites):
+    kinds = {(suites[seed][i][0].chart.base_dim, i % 2) for seed, i in SUITE_ENTRIES}
+    assert kinds == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("seed,i", SUITE_ENTRIES, ids=[f"{s}-{i}" for s, i in SUITE_ENTRIES])
+def test_suite_structures_roundtrip(suites, seed, i):
+    s = suites[seed][i][0]
+    assert parse_structure_file(render_structure(s)).structure.equals(s)
+
+
+def _double(name, twisted):
+    ex = builtin_example(name)
+    pair = (BialgebroidPair.from_twist(ex["structure"], ex["mc"]) if twisted
+            else BialgebroidPair.abelian(ex["structure"]))
+    return ex["structure"], build_double(pair, cross_check=False)[0]
+
+
+def _double_with_x1_in_c21():
+    s, e = _double("semidirect_poly", twisted=False)
+    e.c21[1][0][2] = e.c21[1][0][2] + Poly.var(e.chart, 0, 1)
+    return s, e
+
+
+DOUBLES = {
+    "lsa3-twist": lambda: _double("lsa3", twisted=True),
+    "string_sl2-twist": lambda: _double("string_sl2", twisted=True),
+    "semidirect_poly-abelian": lambda: _double("semidirect_poly", twisted=False),
+    "semidirect_poly-abelian+x1": _double_with_x1_in_c21,
+}
+
+
+@pytest.mark.parametrize("label", list(DOUBLES))
+def test_lwx_block_roundtrip(label):
+    s, e = DOUBLES[label]()
+    sf = parse_structure_file(render_structure(s, extra={"lwx": lwx_block(e)}))
+    assert sf.lwx.equals(e)
+
+
+def test_lwx_block_with_one_slot_per_alternating_orbit_parses_to_the_full_tensor():
+    doc = _base_doc()  # rank1 = rank2 = 3, so the double's frames have 6 vectors
+    doc["lwx"] = {"c11": [{"idx": [2, 1, 4], "val": "3/2"}],
+                  "omega": [{"idx": [3, 1, 5, 6], "val": -2}]}
+    e = parse_structure_file(json.dumps(doc)).lwx
+    ch = e.chart
+    nonzero = [(idx, v) for idx, v in _entries(e.c11) if not v.is_zero]
+    assert sorted(nonzero) == [((0, 1, 3), Poly.const(ch, Fraction(-3, 2))),
+                               ((1, 0, 3), Poly.const(ch, Fraction(3, 2)))]
+    expected = sorted((p + (5,), Poly.const(ch, -2 * sign))
+                      for p, sign in signed_permutations((2, 0, 4)))
+    assert sorted((idx, v) for idx, v in _entries(e.omega) if not v.is_zero) == expected
+    for name in ("partial", "rho", "c12", "c21"):
+        assert all(v.is_zero for _, v in _entries(getattr(e, name)))
+
+
+def _entries(t, idx=()):
+    if isinstance(t, Poly):
+        return [(idx, t)]
+    return [pair for i, sub in enumerate(t) for pair in _entries(sub, idx + (i,))]
 
 
 def test_polynomial_values_roundtrip():
