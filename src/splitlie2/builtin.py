@@ -15,22 +15,30 @@ from .multivectors import MCElement
 from .sfile import MAX_BASE_DIM, MAX_RANK
 from .structures import Lie2Structure
 
-_SL2_BRACKET = {
+# dimension and brackets [e_i, e_j] = sum_k v e_k as (i, j): [(k, v), ...], i < j
+LIE_ALGEBRAS = {
+    "abelian2": (2, {}),
+    "solvable2": (2, {(0, 1): [(1, 1)]}),
+    "heisenberg3": (3, {(0, 1): [(2, 1)]}),
     # basis (h, e, f): [h,e]=2e, [h,f]=-2f, [e,f]=h
-    (0, 1): [(1, 2)],
-    (0, 2): [(2, -2)],
-    (1, 2): [(0, 1)],
+    "sl2": (3, {(0, 1): [(1, 2)], (0, 2): [(2, -2)], (1, 2): [(0, 1)]}),
 }
 
 
-def sl2_structure_constants():
-    """c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k for the basis (h,e,f)."""
-    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-    for (i, j), terms in _SL2_BRACKET.items():
+def lie_structure_constants(name):
+    """c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k for LIE_ALGEBRAS[name]."""
+    dim, table = LIE_ALGEBRAS[name]
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), terms in table.items():
         for k, v in terms:
             c[i][j][k] = Fraction(v)
             c[j][i][k] = -Fraction(v)
     return c
+
+
+def sl2_structure_constants():
+    """c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k for the basis (h,e,f)."""
+    return lie_structure_constants("sl2")
 
 
 def killing_form(c):

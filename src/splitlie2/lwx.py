@@ -36,6 +36,7 @@ from .structures import (
     Lie2Ops,
     Lie2Structure,
     MorphismData,
+    _tensor,
     alternation_failures,
     basis_vector,
     check_leibniz2_tables,
@@ -89,7 +90,14 @@ def pairing_gram(us, pairing, ws):
     return gram
 
 
-LWX_TENSORS = ("partial", "rho", "c11", "c12", "c21", "omega")
+def lwx_layout(chart: Chart):
+    """(name, shape, alternating slots) of the double's tensors, in file
+    order, on the chart of its underlying half: both frames have
+    d = rank1 + rank2 vectors, c11 alternates in its first 2 slots and omega
+    in its first 3."""
+    n, d = chart.base_dim, chart.rank1 + chart.rank2
+    return (("partial", (d, d), 0), ("rho", (d, n), 0), ("c11", (d, d, d), 2),
+            ("c12", (d, d, d), 0), ("c21", (d, d, d), 0), ("omega", (d, d, d, d), 3))
 
 
 @dataclass
@@ -113,29 +121,19 @@ class LWXStructure:
 
     @staticmethod
     def empty(chart: Chart) -> "LWXStructure":
-        d = chart.rank1 + chart.rank2
-        z = lambda: Poly.zero(chart)
-        zvec1 = lambda: [z() for _ in range(d)]
-        zvec2 = lambda: [z() for _ in range(d)]
-        return LWXStructure(
-            chart,
-            [zvec1() for _ in range(d)],
-            [[z() for _ in range(chart.base_dim)] for _ in range(d)],
-            [[zvec1() for _ in range(d)] for _ in range(d)],
-            [[zvec2() for _ in range(d)] for _ in range(d)],
-            [[zvec2() for _ in range(d)] for _ in range(d)],
-            [[[zvec2() for _ in range(d)] for _ in range(d)] for _ in range(d)],
-            hyperbolic_pairing(chart.rank1, chart.rank2),
-        )
+        return LWXStructure(chart, *[_tensor(chart, shape, None, name)
+                                     for name, shape, _ in lwx_layout(chart)],
+                            hyperbolic_pairing(chart.rank1, chart.rank2))
 
     def equals(self, other: "LWXStructure") -> bool:
         return (self.chart == other.chart and self.pairing == other.pairing
-                and all(getattr(self, name) == getattr(other, name) for name in LWX_TENSORS))
+                and all(getattr(self, name) == getattr(other, name)
+                        for name, _, _ in lwx_layout(self.chart)))
 
     def map_entries(self, fn) -> "LWXStructure":
         """The structure with fn applied to every tensor entry."""
         return LWXStructure(self.chart, *[map_tensor(fn, getattr(self, name))
-                                          for name in LWX_TENSORS], self.pairing)
+                                          for name, _, _ in lwx_layout(self.chart)], self.pairing)
 
 
 class LWXOps(Lie2Ops):
@@ -543,11 +541,12 @@ def check_lwx_axioms(e: LWXStructure) -> CheckReport:
                         s3[a][b][c][w] + s3[a][b][w][c],
                     )
     # enforced shape conditions
-    skew = not alternation_failures(e.c11, (d, d, d), 2)
-    rep.add_flag("lwx.skew", "binary operation is skew on the degree -1 frame", skew,
-                 "c11 not skew")
-    alt = not alternation_failures(e.omega, (d, d, d, d), 3)
-    rep.add_flag("lwx.alternating", "3-form is alternating", alt, "omega not alternating")
+    failures = {name: alternation_failures(getattr(e, name), shape, alt)
+                for name, shape, alt in lwx_layout(e.chart) if alt}
+    rep.add_flag("lwx.skew", "binary operation is skew on the degree -1 frame",
+                 not failures["c11"], "c11 not skew")
+    rep.add_flag("lwx.alternating", "3-form is alternating", not failures["omega"],
+                 "omega not alternating")
 
     # consequences
     for m in range(d):

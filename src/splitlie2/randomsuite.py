@@ -13,26 +13,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .builtin import killing_form
+from .builtin import LIE_ALGEBRAS, killing_form, lie_structure_constants, lsa3
 from .gradedpoly import Chart, Poly, X
-from .structures import Lie2Structure, signed_permutations, transport
-
-_LIE_ALGEBRAS = {
-    "abelian2": (2, {}),
-    "solvable2": (2, {(0, 1): [(1, 1)]}),
-    "heisenberg3": (3, {(0, 1): [(2, 1)]}),
-    "sl2": (3, {(0, 1): [(1, 2)], (0, 2): [(2, -2)], (1, 2): [(0, 1)]}),
-}
-
-
-def _lie_constants(name):
-    dim, table = _LIE_ALGEBRAS[name]
-    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), terms in table.items():
-        for k, v in terms:
-            c[i][j][k] = Fraction(v)
-            c[j][i][k] = -Fraction(v)
-    return dim, c
+from .linalg import invert
+from .structures import Lie2Structure, lie2_layout, signed_permutations, transport
 
 
 def _adjoint_module(dim, c):
@@ -41,8 +25,6 @@ def _adjoint_module(dim, c):
 
 
 def _random_invertible(rng, dim):
-    from .linalg import invert
-
     while True:
         t = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)] for _ in range(dim)]
         for i in range(dim):
@@ -52,21 +34,24 @@ def _random_invertible(rng, dim):
 
 
 def _semidirect(name, trivial_module=False) -> Lie2Structure:
-    dim, c = _lie_constants(name)
+    c = lie_structure_constants(name)
+    dim = len(c)
     chart = Chart(0, dim, dim)
     mu4 = None if trivial_module else _adjoint_module(dim, c)
     return Lie2Structure.build(chart, mu3=c, mu4=mu4)
 
 
 def _identity_complex(name) -> Lie2Structure:
-    dim, c = _lie_constants(name)
+    c = lie_structure_constants(name)
+    dim = len(c)
     chart = Chart(0, dim, dim)
     ident = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     return Lie2Structure.build(chart, mu2=ident, mu3=c, mu4=_adjoint_module(dim, c))
 
 
 def _quadratic(name) -> Lie2Structure:
-    dim, c = _lie_constants(name)
+    c = lie_structure_constants(name)
+    dim = len(c)
     b = killing_form(c)
     chart = Chart(0, dim, 1)
     mu5 = [[[[sum(b[i][m] * c[j][k][m] for m in range(dim))] for k in range(dim)]
@@ -88,7 +73,7 @@ def _polynomial_action(rng) -> Lie2Structure:
 
 def random_valid_structure(rng: random.Random) -> Lie2Structure:
     kind = rng.randrange(6)
-    name = rng.choice(list(_LIE_ALGEBRAS))
+    name = rng.choice(list(LIE_ALGEBRAS))
     if kind == 0:
         s = Lie2Structure.zero(Chart(0, rng.randint(1, 3), rng.randint(1, 2)))
     elif kind == 1:
@@ -100,8 +85,6 @@ def random_valid_structure(rng: random.Random) -> Lie2Structure:
     elif kind == 4:
         return _polynomial_action(rng)  # keep the polynomial anchor unscrambled
     else:
-        from .builtin import lsa3
-
         s = lsa3(rng.randint(1, 5))["structure"]
     t1 = _random_invertible(rng, s.chart.rank1)
     t2 = _random_invertible(rng, s.chart.rank2)
@@ -110,46 +93,30 @@ def random_valid_structure(rng: random.Random) -> Lie2Structure:
 
 def perturb_structure(s: Lie2Structure, rng: random.Random) -> Lie2Structure:
     """Bump one tensor entry (alternating symmetries kept intact)."""
-    out = Lie2Structure(
-        s.chart,
-        [list(r) for r in s.mu1],
-        [list(r) for r in s.mu2],
-        [[list(q) for q in r] for r in s.mu3],
-        [[list(q) for q in r] for r in s.mu4],
-        [[[list(q) for q in p] for p in r] for r in s.mu5],
-    )
-    ch = s.chart
-    r1, r2 = ch.rank1, ch.rank2
-    bump = Poly.const(ch, Fraction(rng.randint(1, 3)))
-    choices = []
-    if r1 and ch.base_dim:
-        choices.append("mu1")
-    if r1 and r2:
-        choices.extend(["mu2", "mu4"])
-    if r1 >= 2:
-        choices.append("mu3")
-    if r1 >= 3 and r2:
-        choices.append("mu5")
-    which = rng.choice(choices) if choices else "mu4"
-    if which == "mu1":
-        out.mu1[rng.randrange(r1)][rng.randrange(ch.base_dim)] += bump
-    elif which == "mu2":
-        out.mu2[rng.randrange(r2)][rng.randrange(r1)] += bump
-    elif which == "mu4":
-        out.mu4[rng.randrange(r1)][rng.randrange(r2)][rng.randrange(r2)] += bump
-    elif which == "mu3":
-        i = rng.randrange(r1)
-        j = rng.randrange(r1)
+    out = s.map_entries(lambda p: p)
+    bump = Poly.const(s.chart, Fraction(rng.randint(1, 3)))
+    # a tensor qualifies when it has an entry off its alternation diagonal;
+    # the alternating ones come last, the order that the pinned suite
+    # digests were drawn in
+    choices = sorted([(name, shape, alt) for name, shape, alt in lie2_layout(s.chart)
+                      if all(shape) and shape[0] >= alt], key=lambda c: c[2])
+    name, shape, alt = rng.choice(choices)
+    if alt == 2:
+        i = j = rng.randrange(shape[0])
         while j == i:
-            j = rng.randrange(r1)
-        k = rng.randrange(r1)
-        out.mu3[i][j][k] += bump
-        out.mu3[j][i][k] -= bump
+            j = rng.randrange(shape[0])
+        heads = [((i, j), 1), ((j, i), -1)]
+    elif alt == 3:
+        heads = signed_permutations(rng.sample(range(shape[0]), 3))
     else:
-        i, j, k = rng.sample(range(r1), 3)
-        l = rng.randrange(r2)
-        for (a, b, c), sign in signed_permutations((i, j, k)):
-            out.mu5[a][b][c][l] = out.mu5[a][b][c][l] + bump * sign
+        heads = [((), 1)]
+    tail = tuple(rng.randrange(dim) for dim in shape[alt:])
+    for head, sign in heads:
+        *path, last = head + tail
+        node = getattr(out, name)
+        for i in path:
+            node = node[i]
+        node[last] = node[last] + bump * sign
     return out
 
 

@@ -3,9 +3,13 @@
 Rationals are strings "p/q" (or plain integers); base-polynomial values
 are objects mapping a comma-separated exponent vector over the base
 variables to a rational, e.g. {"2,0": "3/4", "0,0": "1"}.  Indices are
-1-based.  Alternating tensors may be given on any index tuples; slots
+1-based.  The names, shapes and alternating slots of the tensor blocks
+come from structures.lie2_layout (mu1..mu5) and lwx.lwx_layout (the lwx
+block).  Alternating tensors may be given on any index tuples; slots
 whose signed images are omitted are completed automatically, and explicit
-entries that contradict the required symmetry are rejected.
+entries that contradict the required symmetry are rejected.  Every entry,
+in a tensor block or in morphism.f3, needs its "val", and a second entry on
+the same slot is rejected.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from fractions import Fraction
 from .gradedpoly import Chart, Poly, X
 from .multivectors import MCElement
 from .report import render_json
-from .structures import Lie2Structure, MorphismData, signed_permutations
-from .lwx import LWXStructure, Subbundle, hyperbolic_pairing
+from .structures import Lie2Structure, MorphismData, _tensor, lie2_layout, signed_permutations
+from .lwx import LWXStructure, Subbundle, hyperbolic_pairing, lwx_layout
 
 FORMAT_VERSION = 1
 
@@ -126,14 +130,9 @@ def _render_value(p: Poly):
 
 def _load_sparse(chart, entries, shape, name, alt_slots=0, allow_unknown=False):
     """Tensor from sparse entries; first alt_slots indices alternate."""
-    def build(dims):
-        if not dims:
-            return None
-        return [build(dims[1:]) for _ in range(dims[0])]
-
     if entries is not None and not isinstance(entries, list):
         raise StructureFileError(name, "must be a list of {\"idx\": [...], \"val\": ...} entries")
-    tensor = build(list(shape))
+    tensor = _tensor(chart, shape, None, name)
     given = {}
     for pos, ent in enumerate(entries or []):
         where = f"{name}[{pos}]"
@@ -187,13 +186,7 @@ def _load_sparse(chart, entries, shape, name, alt_slots=0, allow_unknown=False):
         for i in slot[:-1]:
             node = node[i]
         node[slot[-1]] = v
-
-    def finalize(node, dims):
-        if not dims:
-            return Poly.zero(chart) if node is None else node
-        return [finalize(sub, dims[1:]) for sub in node]
-
-    return finalize(tensor, list(shape))
+    return tensor
 
 
 def _dump_sparse(tensor, shape, alt_slots=0):
@@ -239,15 +232,8 @@ def _structure_from_block(block, where: str):
         if block[field] > limit:
             raise StructureFileError(where, f"{field} {block[field]} exceeds the limit {limit}")
     ch = Chart(block["base_dim"], block["rank1"], block["rank2"])
-    n, r1, r2 = ch.base_dim, ch.rank1, ch.rank2
-    s = Lie2Structure(
-        ch,
-        _load_sparse(ch, block.get("mu1"), (r1, n), f"{where}.mu1"),
-        _load_sparse(ch, block.get("mu2"), (r2, r1), f"{where}.mu2"),
-        _load_sparse(ch, block.get("mu3"), (r1, r1, r1), f"{where}.mu3", alt_slots=2),
-        _load_sparse(ch, block.get("mu4"), (r1, r2, r2), f"{where}.mu4"),
-        _load_sparse(ch, block.get("mu5"), (r1, r1, r1, r2), f"{where}.mu5", alt_slots=3),
-    )
+    s = Lie2Structure(ch, *[_load_sparse(ch, block.get(name), shape, f"{where}.{name}", alt)
+                            for name, shape, alt in lie2_layout(ch)])
     bad = s.symmetry_violations()
     if bad:
         raise StructureFileError(where, "; ".join(bad))
@@ -363,16 +349,20 @@ def parse_structure_file(text: str) -> StructureFile:
         f3_entries = mb.get("f3", [])
         if not isinstance(f3_entries, list):
             raise StructureFileError(f"{where}.f3", "must be a list of entries")
+        given = set()
         for pos, ent in enumerate(f3_entries):
             w = f"{where}.f3[{pos}]"
             idx = ent.get("idx") if isinstance(ent, dict) else None
             if not (isinstance(idx, list) and len(idx) == 3
-                    and all(type(i) is int for i in idx)):
+                    and all(type(i) is int for i in idx) and "val" in ent):
                 raise StructureFileError(w, "f3 entries are {idx: [a,b,k], val: ...}")
             a, b, k = idx
             if not (1 <= a <= ch.rank1 and 1 <= b <= ch.rank1 and 1 <= k <= r2c):
                 raise StructureFileError(w, "f3 index out of range")
-            f3[a - 1][b - 1][k - 1] = _rational(ent.get("val", 0), w)
+            if (a, b, k) in given:
+                raise StructureFileError(w, f"duplicate slot {idx}")
+            given.add((a, b, k))
+            f3[a - 1][b - 1][k - 1] = _rational(ent["val"], w)
         sf.morphism = MorphismData(f1, f2, f3)
     if "subbundles" in doc:
         d = r1 + r2
@@ -386,17 +376,9 @@ def parse_structure_file(text: str) -> StructureFile:
             sf.subbundles[name] = Subbundle(b1, b2)
     if "lwx" in doc:
         lb = _object(doc["lwx"], "lwx")
-        d = r1 + r2
-        sf.lwx = LWXStructure(
-            ch,
-            _load_sparse(ch, lb.get("partial"), (d, d), "lwx.partial"),
-            _load_sparse(ch, lb.get("rho"), (d, n), "lwx.rho"),
-            _load_sparse(ch, lb.get("c11"), (d, d, d), "lwx.c11", alt_slots=2),
-            _load_sparse(ch, lb.get("c12"), (d, d, d), "lwx.c12"),
-            _load_sparse(ch, lb.get("c21"), (d, d, d), "lwx.c21"),
-            _load_sparse(ch, lb.get("omega"), (d, d, d, d), "lwx.omega", alt_slots=3),
-            hyperbolic_pairing(r1, r2),
-        )
+        sf.lwx = LWXStructure(ch, *[_load_sparse(ch, lb.get(name), shape, f"lwx.{name}", alt)
+                                    for name, shape, alt in lwx_layout(ch)],
+                              hyperbolic_pairing(r1, r2))
     return sf
 
 
@@ -422,14 +404,8 @@ def render_structure(s: Lie2Structure, extra=None) -> str:
 def dual_block(dual: Lie2Structure):
     """The nonempty mu1..mu5 blocks of a structure, in that order: a gamma
     block, and the body of a structure file."""
-    ch = dual.chart
-    block = {
-        "mu1": _dump_sparse(dual.mu1, (ch.rank1, ch.base_dim)),
-        "mu2": _dump_sparse(dual.mu2, (ch.rank2, ch.rank1)),
-        "mu3": _dump_sparse(dual.mu3, (ch.rank1,) * 3, alt_slots=2),
-        "mu4": _dump_sparse(dual.mu4, (ch.rank1, ch.rank2, ch.rank2)),
-        "mu5": _dump_sparse(dual.mu5, (ch.rank1,) * 3 + (ch.rank2,), alt_slots=3),
-    }
+    block = {name: _dump_sparse(getattr(dual, name), shape, alt)
+             for name, shape, alt in lie2_layout(dual.chart)}
     return {k: v for k, v in block.items() if v}
 
 
@@ -449,13 +425,6 @@ def mc_blocks(m: MCElement):
 
 
 def lwx_block(e: LWXStructure):
-    d = e.d1
-    n = e.chart.base_dim
-    return {
-        "partial": _dump_sparse(e.partial, (d, d)),
-        "rho": _dump_sparse(e.rho, (d, n)),
-        "c11": _dump_sparse(e.c11, (d, d, d), alt_slots=2),
-        "c12": _dump_sparse(e.c12, (d, d, d)),
-        "c21": _dump_sparse(e.c21, (d, d, d)),
-        "omega": _dump_sparse(e.omega, (d, d, d, d), alt_slots=3),
-    }
+    """Every tensor block of a double, empty ones included."""
+    return {name: _dump_sparse(getattr(e, name), shape, alt)
+            for name, shape, alt in lwx_layout(e.chart)}

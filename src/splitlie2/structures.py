@@ -122,6 +122,14 @@ def signed_permutations(trip):
             ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1)]
 
 
+def lie2_layout(chart):
+    """(name, shape, alternating slots) of mu1..mu5 on chart, in file order:
+    mu3 alternates in its first 2 slots and mu5 in its first 3."""
+    n, r1, r2 = chart.base_dim, chart.rank1, chart.rank2
+    return (("mu1", (r1, n), 0), ("mu2", (r2, r1), 0), ("mu3", (r1, r1, r1), 2),
+            ("mu4", (r1, r2, r2), 0), ("mu5", (r1, r1, r1, r2), 3))
+
+
 @dataclass
 class Lie2Structure:
     chart: Chart
@@ -133,52 +141,34 @@ class Lie2Structure:
 
     @staticmethod
     def build(chart: Chart, mu1=None, mu2=None, mu3=None, mu4=None, mu5=None) -> "Lie2Structure":
-        n, r1, r2 = chart.base_dim, chart.rank1, chart.rank2
-        return Lie2Structure(
-            chart,
-            _tensor(chart, (r1, n), mu1, "mu1"),
-            _tensor(chart, (r2, r1), mu2, "mu2"),
-            _tensor(chart, (r1, r1, r1), mu3, "mu3"),
-            _tensor(chart, (r1, r2, r2), mu4, "mu4"),
-            _tensor(chart, (r1, r1, r1, r2), mu5, "mu5"),
-        )
+        return Lie2Structure(chart, *[
+            _tensor(chart, shape, data, name)
+            for (name, shape, _), data in zip(lie2_layout(chart), (mu1, mu2, mu3, mu4, mu5))])
 
     @staticmethod
     def zero(chart: Chart) -> "Lie2Structure":
         return Lie2Structure.build(chart)
 
-    # -- shape and symmetry validation ------------------------------------
-
-    def shape(self):
-        n, r1, r2 = self.chart.base_dim, self.chart.rank1, self.chart.rank2
-        return {
-            "mu1": (r1, n),
-            "mu2": (r2, r1),
-            "mu3": (r1, r1, r1),
-            "mu4": (r1, r2, r2),
-            "mu5": (r1, r1, r1, r2),
-        }
-
     def symmetry_violations(self):
         """Entries breaking the required antisymmetries, as readable strings."""
-        r1, r2 = self.chart.rank1, self.chart.rank2
-        bad = [f"mu3[{i + 1}][{j + 1}][{k + 1}] not antisymmetric"
-               for i, j, k in alternation_failures(self.mu3, (r1, r1, r1), 2)]
-        bad += [f"mu5[{i + 1}][{j + 1}][{k + 1}][{l + 1}] not alternating"
-                for i, j, k, l in alternation_failures(self.mu5, (r1, r1, r1, r2), 3)]
+        bad = []
+        for name, shape, alt in lie2_layout(self.chart):
+            if alt:
+                what = "not antisymmetric" if alt == 2 else "not alternating"
+                bad += [name + "".join(f"[{i + 1}]" for i in idx) + " " + what
+                        for idx in alternation_failures(getattr(self, name), shape, alt)]
         return sorted(bad)
 
     def entries(self):
         """Every tensor entry, mu1 to mu5."""
-        shp = self.shape()
-        for name in shp:
-            for _, e in tensor_entries(getattr(self, name), shp[name]):
+        for name, shape, _ in lie2_layout(self.chart):
+            for _, e in tensor_entries(getattr(self, name), shape):
                 yield e
 
     def map_entries(self, fn, chart: Chart | None = None) -> "Lie2Structure":
         """The structure with fn applied to every entry, on `chart` if given."""
         return Lie2Structure(chart or self.chart, *[
-            map_tensor(fn, t) for t in (self.mu1, self.mu2, self.mu3, self.mu4, self.mu5)])
+            map_tensor(fn, getattr(self, name)) for name, _, _ in lie2_layout(self.chart)])
 
     def lift(self, chart: Chart) -> "Lie2Structure":
         return self.map_entries(lambda p: p.lift(chart), chart)
@@ -188,7 +178,7 @@ class Lie2Structure:
 
     def equals(self, other: "Lie2Structure") -> bool:
         return self.chart == other.chart and all(
-            getattr(self, name) == getattr(other, name) for name in self.shape())
+            getattr(self, name) == getattr(other, name) for name, _, _ in lie2_layout(self.chart))
 
 
 # -- section calculus --------------------------------------------------------
@@ -537,8 +527,13 @@ def encode_frames(s: Lie2Structure, chart: Chart, in1, in2, out1, out2) -> Poly:
     half, sixth = Fraction(1, 2), Fraction(1, 6)
     terms = {}
 
-    def add(tensor, shape, monomial):
-        for idx, c in tensor_entries(tensor, shape):
+    monomials = (lambda j, i: p[i] * a[j],
+                 lambda j, i: u[i] * m[j],
+                 lambda i, j, k: half * (u[k] * a[i] * a[j]),
+                 lambda i, j, k: v[k] * a[i] * m[j],
+                 lambda i, j, k, l: sixth * (v[l] * a[i] * a[j] * a[k]))
+    for (name, shape, _), monomial in zip(lie2_layout(s.chart), monomials):
+        for idx, c in tensor_entries(getattr(s, name), shape):
             if c.terms:
                 for mono, coeff in (c.lift(chart) * monomial(*idx)).terms.items():
                     coeff += terms.get(mono, 0)
@@ -546,12 +541,6 @@ def encode_frames(s: Lie2Structure, chart: Chart, in1, in2, out1, out2) -> Poly:
                         terms[mono] = coeff
                     else:
                         del terms[mono]
-
-    add(s.mu1, (r1, n), lambda j, i: p[i] * a[j])
-    add(s.mu2, (r2, r1), lambda j, i: u[i] * m[j])
-    add(s.mu3, (r1, r1, r1), lambda i, j, k: half * (u[k] * a[i] * a[j]))
-    add(s.mu4, (r1, r2, r2), lambda i, j, k: v[k] * a[i] * m[j])
-    add(s.mu5, (r1, r1, r1, r2), lambda i, j, k, l: sixth * (v[l] * a[i] * a[j] * a[k]))
     return Poly(chart, terms)
 
 

@@ -16,13 +16,12 @@ import pytest
 
 from splitlie2.builtin import builtin_example
 from splitlie2.gradedpoly import Chart, Poly
-from splitlie2.lwx import LWX_TENSORS, build_double, check_lwx_axioms
+from splitlie2.lwx import build_double, check_lwx_axioms
 from splitlie2.randomsuite import structure_suite
 from splitlie2.report import render_residual
 from splitlie2.structures import (
     Lie2Structure,
     check_lie2_axioms,
-    map_tensor,
     signed_permutations,
 )
 from splitlie2.twisting import BialgebroidPair
@@ -46,9 +45,8 @@ def _on_a_line(s):
 def _double_on_a_line(e):
     """The double e over a line, with a zero anchor."""
     ch = _line(e.chart)
-    lifted = {name: map_tensor(lambda p: p.lift(ch), getattr(e, name)) for name in LWX_TENSORS}
-    lifted["rho"] = [[Poly.zero(ch)] for _ in range(e.d1)]
-    return dataclasses.replace(e, chart=ch, **lifted)
+    return dataclasses.replace(e.map_entries(lambda p: p.lift(ch)), chart=ch,
+                               rho=[[Poly.zero(ch)] for _ in range(e.d1)])
 
 
 def _by_id(report):

@@ -254,3 +254,17 @@ def test_bad_f3_rational_is_a_located_error():
     with pytest.raises(StructureFileError) as err:
         parse_structure_file(json.dumps(doc))
     assert err.value.location == "morphism.f3[0]"
+
+
+@pytest.mark.parametrize("f3,message", [
+    ([{"idx": [1, 2, 1]}], "f3 entries are"),
+    ([{"idx": [1, 2, 1], "val": 1}, {"idx": [2, 1, 1], "val": 2}, {"idx": [1, 2, 1], "val": 1}],
+     "duplicate slot \\[1, 2, 1\\]"),
+])
+def test_f3_entries_need_a_value_and_a_slot_of_their_own(f3, message):
+    doc = _base_doc()
+    ident = [[int(i == j) for j in range(3)] for i in range(3)]
+    doc["morphism"] = {"f1": ident, "f2": ident, "f3": f3}
+    with pytest.raises(StructureFileError, match=message) as err:
+        parse_structure_file(json.dumps(doc))
+    assert err.value.location == f"morphism.f3[{len(f3) - 1}]"

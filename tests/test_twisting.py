@@ -19,6 +19,7 @@ from splitlie2.structures import (
     MorphismData,
     check_lie2_axioms,
     check_morphism,
+    lie2_layout,
 )
 from splitlie2.twisting import (
     BialgebroidPair,
@@ -347,7 +348,7 @@ def _bumped(dual, rng):
     out = dual.map_entries(lambda p: p)
     one = Poly.const(out.chart, 1)
     out.mu4[0][0][0] = out.mu4[0][0][0] + one
-    names = [n for n, shp in out.shape().items() if n != "mu2" and 0 not in shp]
+    names = [n for n, shp, _ in lie2_layout(out.chart) if n != "mu2" and 0 not in shp]
     t = getattr(out, rng.choice(names))
     while isinstance(t[0], list):
         t = t[rng.randrange(len(t))]
