@@ -322,14 +322,6 @@ class Poly:
             return INHOMOGENEOUS
         return degs.pop()
 
-    def tridegree(self):
-        tds = {mono_tridegree(m) for m in self.terms}
-        if not tds:
-            return (0, 0, 0)
-        if len(tds) > 1:
-            return INHOMOGENEOUS
-        return tds.pop()
-
     def project_tridegree(self, t) -> "Poly":
         t = tuple(t)
         return Poly(self.chart, {m: c for m, c in self.terms.items() if mono_tridegree(m) == t})
@@ -342,9 +334,6 @@ class Poly:
         return {t: Poly(self.chart, d) for t, d in sorted(comps.items())}
 
     # -- structure queries ---------------------------------------------------
-
-    def kinds_used(self):
-        return {k for m in self.terms for k, _, _ in m}
 
     def coefficient(self, mono: Mono):
         return self.terms.get(mono, 0)

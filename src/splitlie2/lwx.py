@@ -36,10 +36,9 @@ from .structures import (
     Lie2Ops,
     Lie2Structure,
     MorphismData,
-    _tensor,
     alternation_failures,
     basis_vector,
-    check_leibniz2_tables,
+    check_leibniz2_axioms,
     check_lie2_axioms,
     check_morphism,
     combine,
@@ -118,12 +117,6 @@ class LWXStructure:
     @property
     def d2(self):
         return self.chart.rank1 + self.chart.rank2
-
-    @staticmethod
-    def empty(chart: Chart) -> "LWXStructure":
-        return LWXStructure(chart, *[_tensor(chart, shape, None, name)
-                                     for name, shape, _ in lwx_layout(chart)],
-                            hyperbolic_pairing(chart.rank1, chart.rank2))
 
     def equals(self, other: "LWXStructure") -> bool:
         return (self.chart == other.chart and self.pairing == other.pairing
@@ -482,7 +475,7 @@ def check_lwx_axioms(e: LWXStructure) -> CheckReport:
         return ops.dmap(f) if f else zero_vec
 
     # (i) the underlying two-term bracket system
-    check_leibniz2_tables(ops, t, rep, "lwx.i")
+    check_leibniz2_axioms(ops, rep, "lwx.i")
 
     # (ii) symmetrized mixed operation is the pairing gradient
     for a in range(d):

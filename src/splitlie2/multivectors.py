@@ -540,28 +540,6 @@ class MCSolution:
     def dimension(self) -> int:
         return -1 if self.is_empty else len(self.basis)
 
-    def instantiate(self, chart: Chart, h_pattern, k_pattern, free=None):
-        """Concrete element from the particular solution plus free choices."""
-        if self.is_empty:
-            raise ValueError("no solution to instantiate")
-        values = list(self.particular)
-        for t, coeff in (free or {}).items():
-            for pos in range(len(values)):
-                values[pos] += Fraction(coeff) * self.basis[t][pos]
-        assign = dict(zip(self.labels, values))
-        h = [
-            [
-                assign[f"H[{i + 1},{j + 1}]"] if h_pattern[i][j] is None else h_pattern[i][j]
-                for j in range(chart.rank2)
-            ]
-            for i in range(chart.rank1)
-        ]
-        k = {
-            idx: (assign[f"K[{idx[0]},{idx[1]},{idx[2]}]"] if v is None else v)
-            for idx, v in (k_pattern or {}).items()
-        }
-        return MCElement.build(chart, h=h, k=k)
-
 
 def solve_linear_mc(s: Lie2Structure, h_pattern, k_pattern=None) -> MCSolution:
     """Solve the flatness equation for the slots marked None.

@@ -20,7 +20,8 @@ from fractions import Fraction
 from .gradedpoly import Chart, Poly, X
 from .multivectors import MCElement
 from .report import render_json
-from .structures import Lie2Structure, MorphismData, _tensor, lie2_layout, signed_permutations
+from .structures import (Lie2Structure, MorphismData, _tensor, alternation_failures, lie2_layout,
+                         signed_permutations)
 from .lwx import LWXStructure, Subbundle, hyperbolic_pairing, lwx_layout
 
 FORMAT_VERSION = 1
@@ -189,7 +190,14 @@ def _load_sparse(chart, entries, shape, name, alt_slots=0, allow_unknown=False):
     return tensor
 
 
-def _dump_sparse(tensor, shape, alt_slots=0):
+def _dump_sparse(tensor, shape, alt_slots=0, name=""):
+    """The nonzero entries of a tensor; of one that alternates in its first
+    alt_slots slots, the ordered slots only.  A tensor that breaks that
+    alternation is refused: the reader would complete it to another one."""
+    bad = alt_slots and alternation_failures(tensor, shape, alt_slots)
+    if bad:
+        slot = "".join(f"[{i + 1}]" for i in bad[0])
+        raise ValueError(f"{name}{slot} breaks the alternation of its first {alt_slots} slots")
     out = []
 
     def walk(node, idx):
@@ -404,7 +412,7 @@ def render_structure(s: Lie2Structure, extra=None) -> str:
 def dual_block(dual: Lie2Structure):
     """The nonempty mu1..mu5 blocks of a structure, in that order: a gamma
     block, and the body of a structure file."""
-    block = {name: _dump_sparse(getattr(dual, name), shape, alt)
+    block = {name: _dump_sparse(getattr(dual, name), shape, alt, name)
              for name, shape, alt in lie2_layout(dual.chart)}
     return {k: v for k, v in block.items() if v}
 
@@ -426,5 +434,5 @@ def mc_blocks(m: MCElement):
 
 def lwx_block(e: LWXStructure):
     """Every tensor block of a double, empty ones included."""
-    return {name: _dump_sparse(getattr(e, name), shape, alt)
+    return {name: _dump_sparse(getattr(e, name), shape, alt, name)
             for name, shape, alt in lwx_layout(e.chart)}

@@ -669,19 +669,21 @@ def times_int(p: Poly, d: int) -> Poly:
 # -- direct axiom checking ----------------------------------------------------
 
 
-def check_leibniz2_tables(ops, t: FrameTables, report: CheckReport, tag: str):
-    """check_leibniz2_axioms with its inner brackets read from the tables `t`
-    on unit frames.
+def check_leibniz2_axioms(ops, report: CheckReport, tag: str = "leibniz2"):
+    """Axioms of a 2-term bracket system, on all frame tuples.
 
-    Every outer bracket is a fresh `ops` evaluation, so this route stays
-    independent of {mu,mu} = 0.  The frames and the tables are turned into
-    sparse sections (_sparse) once; each residual, lhs - rhs of its
-    law, is one fresh list into which the kernels add their signed terms.
-    A kernel with a zero argument adds nothing: its loops are empty.
+    Each inner bracket of frame vectors is read from the kernels' sparse
+    tables (on unit frames they are the tensors, see Lie2Ops.units); each
+    outer bracket is a fresh `ops` evaluation, so this route stays
+    independent of {mu,mu} = 0.  The unit frames are the sparse sections
+    [(i, ops._one)].  Each residual, lhs - rhs of its law, is one fresh list
+    into which the kernels add their signed terms; a kernel with a zero
+    argument adds nothing, as its loops are empty.
     """
-    r1, r2, zero = ops.r1, ops.r2, ops._zero
-    E, F, L1 = _sparse(t.b1, 1), _sparse(t.b2, 1), _sparse(t.l1, 1)
-    L11, L12, L21, L3 = _sparse(t.l11, 2), _sparse(t.l12, 2), _sparse(t.l21, 2), _sparse(t.l3, 3)
+    r1, r2, zero, one = ops.r1, ops.r2, ops._zero, ops._one
+    E, F = [[(i, one)] for i in range(r1)], [[(m, one)] for m in range(r2)]
+    # L21 = ops._b21 is indexed x slot first: L21[a][m] is l2(e_m, e_a)
+    L1, L11, L12, L21, L3 = ops._unary, ops._b11, ops._b12, ops._b21, ops._ternary
     l1, l2_11, l3 = ops.add_l1, ops.add_l2_11, ops.add_l3
     l2_12, l2_21 = ops.add_l2_12, ops.add_l2_21
 
@@ -693,7 +695,7 @@ def check_leibniz2_tables(ops, t: FrameTables, report: CheckReport, tag: str):
             l2_11(res, -1, x, L1[j])
             report.add(f"{tag}.a[{i + 1},{j + 1}]", "d l2(x,m) = l2(x, d m)", res)
             res = [zero] * r1
-            l1(res, 1, L21[j][i])
+            l1(res, 1, L21[i][j])
             l2_11(res, 1, L1[j], x)
             report.add(f"{tag}.b[{i + 1},{j + 1}]", "d l2(m,x) = -l2(d m, x)", res)
     for i in range(r2):
@@ -733,7 +735,7 @@ def check_leibniz2_tables(ops, t: FrameTables, report: CheckReport, tag: str):
                 # l2(m, l2(x,y)) - l2(x, l2(m,y)) enters e2 with sign + and e3 with -
                 shared = [zero] * r2
                 l2_21(shared, 1, m, L11[i][j])
-                l2_12(shared, -1, x, L21[k][j])
+                l2_12(shared, -1, x, L21[j][k])
                 res = list(shared)
                 l3(res, -1, x, L1[k], y)
                 l2_21(res, 1, L12[i][k], y)
@@ -744,7 +746,7 @@ def check_leibniz2_tables(ops, t: FrameTables, report: CheckReport, tag: str):
                 )
                 res = [-c for c in shared]
                 l3(res, -1, L1[k], x, y)
-                l2_21(res, -1, L21[k][i], y)
+                l2_21(res, -1, L21[i][k], y)
                 report.add(
                     f"{tag}.e3[{i + 1},{j + 1},{k + 1}]",
                     "-l3(d m,x,y) = l2(m,l2(x,y)) + l2(l2(m,x),y) - l2(x,l2(m,y))",
@@ -774,12 +776,6 @@ def check_leibniz2_tables(ops, t: FrameTables, report: CheckReport, tag: str):
     return report
 
 
-def check_leibniz2_axioms(ops, report: CheckReport, tag: str = "leibniz2"):
-    """Axioms of a 2-term bracket system, on all frame tuples; each inner
-    bracket of frame vectors is read from `ops.units`."""
-    return check_leibniz2_tables(ops, ops.units, report, tag)
-
-
 def check_lie2_axioms(s: Lie2Structure) -> CheckReport:
     """Direct axiom check: bracket axioms plus the two anchor conditions.
 
@@ -799,7 +795,7 @@ def check_lie2_axioms(s: Lie2Structure) -> CheckReport:
         report.add_flag("symmetry", "mu3/mu5 alternating", False, bad)
     ops = Lie2Ops(s)
     t = ops.units
-    check_leibniz2_tables(ops, t, report, "leibniz2")
+    check_leibniz2_axioms(ops, report)
     ch = s.chart
     r1, r2, n = ch.rank1, ch.rank2, ch.base_dim
     coords = [x_(ch, m + 1) for m in range(n)]
@@ -864,15 +860,6 @@ class MorphismData:
     f1: list  # r1' x r1 rationals
     f2: list  # r2' x r2 rationals
     f3: list  # r1 x r1 -> length-r2' rational vectors
-
-    @staticmethod
-    def identity(chart: Chart) -> "MorphismData":
-        r1, r2 = chart.rank1, chart.rank2
-        return MorphismData(
-            [[Fraction(int(i == j)) for j in range(r1)] for i in range(r1)],
-            [[Fraction(int(i == j)) for j in range(r2)] for i in range(r2)],
-            [[[Fraction(0)] * r2 for _ in range(r1)] for _ in range(r1)],
-        )
 
     def is_f3_skew(self) -> bool:
         r1 = len(self.f3)

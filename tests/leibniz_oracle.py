@@ -8,8 +8,10 @@ suite from before the inner brackets went into tables;
 ``restrict_to_subbundle``, ``transport`` and ``lwx_transport`` are the
 versions from before they read ``frame_tables``, and ``polyvec_in_span``
 the closure test ``check_strict_dirac`` used before the closure tests and
-the restriction shared one expansion.  ``test_axiom_tables.py``
-compares them with the package record by record and tensor by tensor.
+the restriction shared one expansion.  ``lwx_transport`` fills in a zero
+double that the oracle builds itself (``_zero_double``).
+``test_axiom_tables.py`` compares them with the package record by record
+and tensor by tensor.
 
 The linear algebra (``rank``, ``invert``, ``solve_affine``, ``in_span``,
 ``expand_in_basis``) is the package's from before its three elimination
@@ -586,6 +588,26 @@ def restrict_to_subbundle(e: LWXStructure, sub: Subbundle) -> Lie2Structure:
     return out
 
 
+def _zero_double(ch: Chart) -> LWXStructure:
+    """The double on ch with every tensor entry zero and the hyperbolic
+    pairing of the frames [A_-1 | A*_-2] and [A_-2 | A*_-1]."""
+    r1, r2, n = ch.rank1, ch.rank2, ch.base_dim
+    d = r1 + r2
+
+    def zeros(*shape):
+        if not shape:
+            return Poly.zero(ch)
+        return [zeros(*shape[1:]) for _ in range(shape[0])]
+
+    pairing = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(r1):
+        pairing[i][r2 + i] = Fraction(1)
+    for k in range(r2):
+        pairing[r1 + k][k] = Fraction(1)
+    return LWXStructure(ch, zeros(d, d), zeros(d, n), zeros(d, d, d), zeros(d, d, d),
+                        zeros(d, d, d), zeros(d, d, d, d), pairing)
+
+
 def lwx_transport(e: LWXStructure, t1, t2) -> LWXStructure:
     """Structure tensors in new frames (rows of t1, t2); the pairing of the
     new frames must again be the canonical hyperbolic one."""
@@ -596,7 +618,7 @@ def lwx_transport(e: LWXStructure, t1, t2) -> LWXStructure:
     inv2 = invert(t2)
     if inv1 is None or inv2 is None:
         raise ValueError("frame change must be invertible")
-    out = LWXStructure.empty(ch)
+    out = _zero_double(ch)
     for a in range(d):
         for mm in range(d):
             val = sum(

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from splitlie2.gradedpoly import (
+    INHOMOGENEOUS,
     KIND_DEGREE,
     KIND_ODD,
     P,
@@ -13,7 +14,19 @@ from splitlie2.gradedpoly import (
     XID,
     Poly,
     mono_from_sequence,
+    mono_tridegree,
 )
+
+
+def tridegree(p):
+    """The tridegree of a polynomial, (0, 0, 0) for zero, or INHOMOGENEOUS
+    when its monomials have more than one."""
+    tds = {mono_tridegree(m) for m in p.terms}
+    if not tds:
+        return (0, 0, 0)
+    if len(tds) > 1:
+        return INHOMOGENEOUS
+    return tds.pop()
 
 
 def random_homogeneous(rng, chart, degree):

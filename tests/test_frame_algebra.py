@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import leibniz_oracle as oracle
+from test_structures import identity_morphism
 from splitlie2 import linalg, multivectors
 from splitlie2.builtin import builtin_example, example_names
 from splitlie2.cli import main
@@ -148,7 +149,7 @@ def _morphism_cases():
     cases = []
     for name in example_names():
         s = builtin_example(name)["structure"]
-        ident = MorphismData.identity(s.chart)
+        ident = identity_morphism(s.chart)
         ops = Lie2Ops(s)
         cases.append((f"{name} identity", ident, ops, ops))
         skew = MorphismData(ident.f1, ident.f2, _skew_pair(s.chart.rank1, s.chart.rank2))
@@ -198,7 +199,7 @@ def test_check_morphism_matches_on_a_double_as_domain():
     e = _lsa3_double()
     e.c21[0][0] = [c + int(q == 1) for q, c in enumerate(e.c21[0][0])]
     ops = LWXOps(e)
-    ident = MorphismData.identity(Chart(0, e.d1, e.d2))
+    ident = identity_morphism(Chart(0, e.d1, e.d2))
     rng = random.Random(7)
     for f3 in (ident.f3, _random_f3(rng, e.d1, e.d2)):
         fdata = MorphismData(ident.f1, ident.f2, f3)

@@ -1,15 +1,16 @@
-"""Every function, class and method of the package is named somewhere.
+"""Every function, class and method of the package is used by the program.
 
-The test walks ``src/splitlie2``, ``tests/`` and ``bench/`` with ``ast``.
-A name counts as used when it appears, outside its own definition, as a
-``Name``, an ``Attribute``, an import alias or a string constant that is an
-identifier (``bench/layers.py`` names the functions it wraps as strings).
+The test walks ``src/splitlie2`` and ``bench/`` with ``ast``: the program
+and the benchmark that runs it, not the tests.  A name counts as used when
+it appears, outside its own definition, as a ``Name``, an ``Attribute`` or
+a string constant that is an identifier (``bench/layers.py`` names the
+functions it wraps as strings, and ``__all__`` lists re-exports as
+strings).  An import alias is not a use: importing a name does not run it.
 Module-level functions and classes of the package, and their non-dunder
-methods, must each be used.  The test-only oracles hold copies of the code
-they compare against rather than imports of it, so they cannot keep a
-deleted package helper alive.  Since an import alias counts as a use, a
-second test requires every name a test module imports to be read, as a
-``Name``, somewhere in that module.
+methods, must each be used.  A helper that only the tests call belongs in
+the tests.  Two more tests require every name that a module of the tests,
+or of the package, imports to be read, as a ``Name``, somewhere in that
+module, or to be listed in the module's ``__all__``.
 """
 
 import ast
@@ -18,7 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "splitlie2"
-WALKED = (PACKAGE, ROOT / "tests", ROOT / "bench")
+WALKED = (PACKAGE, ROOT / "bench")
 
 
 def _names(tree):
@@ -29,10 +30,6 @@ def _names(tree):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            out[node.name.rsplit(".", 1)[-1]] += 1
-            if node.asname:
-                out[node.asname] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 out[node.value] += 1
@@ -56,7 +53,7 @@ def _definitions(tree):
 
 def unused_definitions(package=PACKAGE, walked=WALKED):
     """Qualified names (module.name) of the package definitions that nothing
-    outside their own definition names."""
+    walked uses outside their own definition."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
              for root in walked for path in sorted(root.rglob("*.py"))}
     used = Counter()
@@ -77,23 +74,40 @@ def test_every_package_definition_is_named_somewhere():
     assert unused_definitions() == []
 
 
-def unused_imports(root=ROOT / "tests"):
-    """module:name for each name a module under root imports and never
-    reads as a Name (a string that spells it does not count)."""
+def _exported(tree):
+    """The names a module's top-level ``__all__`` lists."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            out.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return out
+
+
+def unused_imports(roots):
+    """module:name for each name a module under the roots imports and
+    neither reads as a Name nor lists in its ``__all__`` (any other string
+    that spells it does not count)."""
     unused = []
-    for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    name = alias.asname or alias.name.split(".", 1)[0]
-                    if name not in read:
-                        unused.append(f"{path.stem}:{name}")
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            read |= _exported(tree)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".", 1)[0]
+                        if name not in read:
+                            unused.append(f"{path.stem}:{name}")
     return unused
 
 
 def test_every_test_import_is_read():
-    assert unused_imports() == []
+    assert unused_imports((ROOT / "tests",)) == []
+
+
+def test_every_package_import_is_read_or_exported():
+    assert unused_imports((PACKAGE,)) == []

@@ -7,9 +7,10 @@ entries of base_dim 0 and 1, valid and perturbed; the failing base_dim 0
 ones with fractional entries render residuals divided by d^2 (see
 structures.clearing_denominator).  The lwx-check and dirac-check cases run
 on the double of lsa3 with its twisted dual, with one c21 entry and one
-omega entry bumped by 1/2: failing lwx-check records carry fractional
-residuals, and the omega entry lies in the first half, whose strict Dirac
-restriction then has a fractional mu5 (it still passes its axioms).
+omega entry, with its signed images, bumped by 1/2: failing lwx-check
+records carry fractional residuals, and the omega entry lies in the first
+half, whose strict Dirac restriction then has a fractional mu5 (it still
+passes its axioms).
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from splitlie2.gradedpoly import Poly
 from splitlie2.lwx import build_double
 from splitlie2.randomsuite import structure_suite
 from splitlie2.sfile import lwx_block, render_structure
+from splitlie2.structures import signed_permutations
 from splitlie2.twisting import BialgebroidPair
 
 # structure_suite(24, 5) positions: base_dim 1 at 0, 3, 21 and 22, base_dim 0
@@ -78,7 +80,10 @@ def _bumped_lsa3_double():
                         cross_check=False)
     half = Poly.const(e.chart, Fraction(1, 2))
     e.c21[1][3][2] = e.c21[1][3][2] + half
-    e.omega[0][1][2][1] = e.omega[0][1][2][1] + half
+    # omega alternates in its first three slots, so the bump goes to every
+    # signed image of [1][2][3][2]: the file holds the ordered slot only
+    for (a, b, c), sign in signed_permutations((0, 1, 2)):
+        e.omega[a][b][c][1] = e.omega[a][b][c][1] + sign * half
     return ex["structure"], e
 
 

@@ -1,11 +1,12 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
 from splitlie2.builtin import builtin_example, example_names, lsa3
 from splitlie2.gradedpoly import Poly
-from splitlie2.lwx import build_double
+from splitlie2.lwx import build_double, check_lwx_axioms
 from splitlie2.multivectors import SAlgebra
 from splitlie2.randomsuite import structure_suite
 from splitlie2.sfile import (
@@ -96,6 +97,35 @@ def test_lwx_block_roundtrip(label):
     s, e = DOUBLES[label]()
     sf = parse_structure_file(render_structure(s, extra={"lwx": lwx_block(e)}))
     assert sf.lwx.equals(e)
+
+
+def test_lwx_block_refuses_a_double_that_breaks_its_alternation():
+    # the reader would complete c11[1][5][2] alone by sign, so the file
+    # would hold a different double; lwx-check sees the break in memory
+    _, e = _double("lsa3", twisted=True)
+    e.c11[0][4][1] = e.c11[0][4][1] + Fraction(1, 2)
+    skew = [r for r in check_lwx_axioms(e).records if r.check_id == "lwx.skew"]
+    assert [r.passed for r in skew] == [False]
+    with pytest.raises(ValueError, match=r"^c11\[1\]\[5\]\[2\] breaks the alternation"):
+        lwx_block(e)
+
+
+# (tensor, bumped slot, first slot in index order that breaks the alternation)
+BROKEN_ALTERNATION = [("mu3", (0, 1, 2), "mu3[1][2][3]"), ("mu3", (1, 1, 0), "mu3[2][2][1]"),
+                      ("mu5", (2, 0, 1, 1), "mu5[1][3][2][2]")]
+
+
+@pytest.mark.parametrize("name,idx,where", BROKEN_ALTERNATION)
+def test_structure_writer_refuses_a_tensor_that_breaks_its_alternation(name, idx, where):
+    s = lsa3()["structure"]
+    node = getattr(s, name)
+    for i in idx[:-1]:
+        node = node[i]
+    node[idx[-1]] = node[idx[-1]] + 1
+    assert s.symmetry_violations()
+    for write in (dual_block, render_structure):
+        with pytest.raises(ValueError, match=f"^{re.escape(where)} breaks the alternation"):
+            write(s)
 
 
 def test_lwx_block_with_one_slot_per_alternating_orbit_parses_to_the_full_tensor():

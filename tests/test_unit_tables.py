@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from test_structures import identity_morphism
 from splitlie2 import cli, multivectors, structures, twisting
 from splitlie2.builtin import builtin_example
 from splitlie2.cochains import verify_calculus_identities
@@ -28,7 +29,6 @@ from splitlie2.randomsuite import structure_suite
 from splitlie2.sfile import dual_block, mc_blocks, structure_block
 from splitlie2.structures import (
     Lie2Ops,
-    MorphismData,
     check_lie2_axioms,
     check_morphism,
     clearing_denominator,
@@ -97,7 +97,7 @@ def test_checks_leave_the_shared_tensors_alone():
         check_lie2_axioms(s)
         generator_agreement_report(s)
         verify_calculus_identities(s, 2, 0)
-        check_morphism(MorphismData.identity(s.chart), Lie2Ops(s), Lie2Ops(s))
+        check_morphism(identity_morphism(s.chart), Lie2Ops(s), Lie2Ops(s))
         assert s.equals(before)
     e, _ = build_double(_pair("lsa3", True), cross_check=False)
     before = copy.deepcopy(e)
